@@ -13,16 +13,15 @@ never assert success free-form.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .ecksim import World, run_honest_exchange
-from .group import DEFAULT_Q, GroupParams, dlog, pair, random_scalar
-from .kgc import KGC
+from .ecksim import World, run_honest_exchange, two_party_world
+from .group import DEFAULT_Q, GElem, dlog, pair, random_scalar
 from .oracles import DEFAULT_DIGEST, hash_to_group, key_digest
 from .protocol import (
     Role,
+    Status,
     Variant,
     complete_session,
     derive_session_key,
@@ -70,6 +69,31 @@ class AttackReport:
             "success": self.success,
             "events": list(self.events),
         }
+
+
+def _party_record(world: World, handle: int) -> PartyRecord:
+    """A party's record, read from the state of its session in the world."""
+    session = world.session(handle)
+    return PartyRecord(
+        session.owner,
+        session.peer,
+        session.status is Status.ACCEPTED,
+        key_digest(session.key) if session.key else None,
+    )
+
+
+def _transcript_key(
+    world: World, r_init: GElem, r_resp: GElem, d_resp: GElem, r_resp_alpha: GElem
+) -> bytes:
+    """Alice's key with bob over (r_init, r_resp), rebuilt without her private
+    key: d_resp and r_resp_alpha are the master-key powers of bob's identity
+    point and of r_resp, so pair(d_resp^s_r * r_resp_alpha, r_init * H(alice)^s_i)^h
+    is her shared value, and every other input of the derivation is public."""
+    params, variant = world.params, world.variant
+    s_init, s_resp = session_scalars(variant, "alice", "bob", r_init, r_resp, params.digest)
+    a_base = hash_to_group(params.group, "alice", params.digest)
+    shared = pair(d_resp**s_resp * r_resp_alpha, r_init * a_base**s_init) ** params.group.h
+    return derive_session_key(variant, "alice", "bob", r_init, r_resp, shared, params.digest)
 
 
 def _digest_knowledge(knowledge: list[str], prefix: str) -> str | None:
@@ -122,29 +146,27 @@ def run_uks(
     whether the two honest keys actually coincide, which is what would
     turn the confusion into a shared-key misbinding.
     """
-    rng = random.Random(seed)
-    kgc = KGC(rng, GroupParams(q), digest)
-    params = kgc.params
-    alice = kgc.extract("alice")
-    bob = kgc.extract("bob")
+    world = two_party_world(seed, variant, q, digest)
+    params = world.params
     events: list[str] = []
 
-    eve = kgc.extract("eve")
+    eve = world.adv_extract("eve")
     events.append("adversary registered identity eve and obtained its private key")
 
-    a_sess, r_a = start_session(params, alice, "bob", Role.INITIATOR, variant, rng)
+    h_a, r_a = world.activate("alice", "bob", Role.INITIATOR)
     events.append(f"alice opened a session to bob, sending {r_a.hex()}")
     events.append("adversary intercepted alice's message; bob never sees it")
 
-    e_sess, r_e = start_session(params, eve, "bob", Role.INITIATOR, variant, rng)
+    # eve's session belongs to the adversary, so it runs outside the world
+    e_sess, r_e = start_session(params, eve, "bob", Role.INITIATOR, variant, world.rng)
     events.append(f"adversary opened its own session to bob as eve, sending {r_e.hex()}")
 
-    b_sess, r_b = start_session(params, bob, "eve", Role.RESPONDER, variant, rng)
+    h_b, r_b = world.activate("bob", "eve", Role.RESPONDER)
     events.append(f"bob, believing the peer is eve, responded with {r_b.hex()}")
-    key_b = complete_session(b_sess, r_e, bob, params)
+    world.deliver(h_b, r_e)
     events.append("bob accepted, convinced the session is with eve")
 
-    key_a = complete_session(a_sess, r_b, alice, params)
+    world.deliver(h_a, r_b)
     events.append("adversary relayed bob's response to alice; alice accepted, believing bob")
 
     key_eve = complete_session(e_sess, r_b, eve, params)
@@ -154,18 +176,14 @@ def run_uks(
         f"session_key_with_bob_digest:{key_digest(key_eve)}",
     ]
 
-    if key_a == key_b:
+    parties = [_party_record(world, h_a), _party_record(world, h_b)]
+    if parties[0].key_digest == parties[1].key_digest:
         events.append("alice and bob hold the same key under mismatched peer beliefs")
     else:
         events.append(
             "alice's key differs from bob's key: the peer confusion stands, but no "
             "shared key exists between alice and bob"
         )
-
-    parties = [
-        PartyRecord("alice", "bob", True, key_digest(key_a)),
-        PartyRecord("bob", "eve", True, key_digest(key_b)),
-    ]
     return AttackReport(
         "uks", variant.value, seed, parties, knowledge, misbinding_success(parties), events
     )
@@ -187,46 +205,26 @@ def run_master_key_break(
     transcript supplies everything else the key derivation consumes.
     With master_key_reveal left off, the script refuses to run.
     """
-    rng = random.Random(seed)
-    kgc = KGC(rng, GroupParams(q), digest, master_key_reveal=master_key_reveal)
-    params = kgc.params
-    alice = kgc.extract("alice")
-    bob = kgc.extract("bob")
-    events: list[str] = []
+    world = two_party_world(seed, variant, q, digest, master_key_reveal)
+    h_a, h_b = run_honest_exchange(world, "alice", "bob")
+    events = ["alice and bob completed an honest run; adversary only observed the wire"]
 
-    a_sess, r_a = start_session(params, alice, "bob", Role.INITIATOR, variant, rng)
-    b_sess, r_b = start_session(params, bob, "alice", Role.RESPONDER, variant, rng)
-    key_b = complete_session(b_sess, r_a, bob, params)
-    key_a = complete_session(a_sess, r_b, alice, params)
-    events.append("alice and bob completed an honest run; adversary only observed the wire")
-
-    alpha = kgc.reveal_master_key()
+    alpha = world.kgc.reveal_master_key()
     events.append("adversary obtained the master key through the reveal capability")
 
-    s_init, s_resp = session_scalars(variant, "alice", "bob", r_a, r_b, digest)
-    group = params.group
-    shared = pair(bob.public_key**s_resp * r_b, r_a * alice.public_key**s_init) ** (
-        group.h * alpha
-    )
-    candidate = derive_session_key(variant, "alice", "bob", r_a, r_b, shared, digest)
+    init = world.session(h_a)
+    b_base = hash_to_group(world.params.group, "bob", digest)
+    candidate = _transcript_key(world, init.r_out, init.r_in, b_base**alpha, init.r_in**alpha)
     events.append("adversary recomputed the session key from the public transcript alone")
 
     knowledge = [
         f"master_key:{alpha}",
         f"{_RECOMPUTED}{key_digest(candidate)}",
     ]
-    parties = [
-        PartyRecord("alice", "bob", True, key_digest(key_a)),
-        PartyRecord("bob", "alice", True, key_digest(key_b)),
-    ]
+    parties = [_party_record(world, h_a), _party_record(world, h_b)]
+    success = master_key_break_success(parties, knowledge)
     return AttackReport(
-        "master-key-break",
-        variant.value,
-        seed,
-        parties,
-        knowledge,
-        master_key_break_success(parties, knowledge),
-        events,
+        "master-key-break", variant.value, seed, parties, knowledge, success, events
     )
 
 
@@ -255,39 +253,34 @@ def run_kci_attempt(
     only in branches whose inputs the adversary actually holds.
     """
     variant = Variant.ORIGINAL
-    rng = random.Random(seed)
-    kgc = KGC(rng, GroupParams(q), digest)
-    params = kgc.params
-    group = params.group
-    alice = kgc.extract("alice")
-    bob = kgc.extract("bob")
-    events: list[str] = []
+    world = two_party_world(seed, variant, q, digest)
+    group = world.params.group
+    world.private_reveal("alice")
+    events = ["adversary revealed alice's long-term key"]
     knowledge = ["private_key:alice"]
-    events.append("adversary revealed alice's long-term key")
     if corrupt_b:
+        bob = world.private_reveal("bob")
         knowledge.append("private_key:bob")
         events.append("adversary revealed bob's long-term key as well")
 
-    a_sess, r_a = start_session(params, alice, "bob", Role.INITIATOR, variant, rng)
-    b_sess, r_b = start_session(params, bob, "alice", Role.RESPONDER, variant, rng)
-    key_b = complete_session(b_sess, r_a, bob, params)
+    h_a, r_a = world.activate("alice", "bob", Role.INITIATOR)
+    h_b, _ = world.activate("bob", "alice", Role.RESPONDER)
+    world.deliver(h_b, r_a)
     events.append("alice's opening message reached bob; bob responded and accepted")
 
     if x_choice is XChoice.IDENTITY_POINT_OF_B:
-        x_sub = bob.public_key
+        x_sub = hash_to_group(group, "bob", digest)
         events.append("adversary replaced bob's response with bob's identity point")
     else:
-        x_sub = group.g ** random_scalar(rng, group)
+        x_sub = group.g ** random_scalar(world.rng, group)
         events.append(f"adversary replaced bob's response with a random element {x_sub.hex()}")
-    key_a = complete_session(a_sess, x_sub, alice, params)
+    world.deliver(h_a, x_sub)
     events.append("alice accepted the substituted response, believing it came from bob")
 
-    s_init, s_resp = session_scalars(variant, "alice", "bob", r_a, x_sub, digest)
     if x_choice is XChoice.IDENTITY_POINT_OF_B and corrupt_b:
         # X = bob's identity point, so X to the master key is bob's private
         # key, and the candidate needs nothing the adversary lacks.
-        shared = pair(bob.private_key ** (s_resp + 1), r_a * alice.public_key**s_init) ** group.h
-        candidate = derive_session_key(variant, "alice", "bob", r_a, x_sub, shared, digest)
+        candidate = _transcript_key(world, r_a, x_sub, bob.private_key, bob.private_key)
         knowledge.append(f"{_CANDIDATE}{key_digest(candidate)}")
         events.append("adversary computed a candidate key from bob's private key")
     else:
@@ -296,19 +289,9 @@ def run_kci_attempt(
             "is out of the adversary's reach"
         )
 
-    parties = [
-        PartyRecord("alice", "bob", True, key_digest(key_a)),
-        PartyRecord("bob", "alice", True, key_digest(key_b)),
-    ]
-    return AttackReport(
-        "kci",
-        variant.value,
-        seed,
-        parties,
-        knowledge,
-        kci_success(parties, knowledge),
-        events,
-    )
+    parties = [_party_record(world, h_a), _party_record(world, h_b)]
+    success = kci_success(parties, knowledge)
+    return AttackReport("kci", variant.value, seed, parties, knowledge, success, events)
 
 
 def run_dlog_extract_adversary(
@@ -326,22 +309,15 @@ def run_dlog_extract_adversary(
     logged queries are the extraction, the test, and the guess, so the
     test session stays fresh and the verdict is a win.
     """
-    world = World(seed, variant, q)
-    world.add_party("alice")
-    world.add_party("bob")
-    h_init, h_resp = run_honest_exchange(world, "alice", "bob")
+    world = two_party_world(seed, variant, q)
+    h_init, _ = run_honest_exchange(world, "alice", "bob")
 
     eve = world.adv_extract("eve")
     alpha = dlog(eve.private_key) * pow(dlog(eve.public_key), -1, q) % q
 
     init = world.session(h_init)
-    r_a, r_b = init.r_out, init.r_in
-    params = world.params
-    s_init, s_resp = session_scalars(variant, "alice", "bob", r_a, r_b, params.digest)
-    a_base = hash_to_group(params.group, "alice", params.digest)
-    b_base = hash_to_group(params.group, "bob", params.digest)
-    shared = pair(b_base**s_resp * r_b, r_a * a_base**s_init) ** (params.group.h * alpha)
-    candidate = derive_session_key(variant, "alice", "bob", r_a, r_b, shared, params.digest)
+    b_base = hash_to_group(world.params.group, "bob", world.params.digest)
+    candidate = _transcript_key(world, init.r_out, init.r_in, b_base**alpha, init.r_in**alpha)
 
     answer = world.test(h_init)
     world.guess(0 if answer == candidate else 1)

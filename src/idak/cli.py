@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .attacks import (
@@ -21,37 +20,39 @@ from .attacks import (
     run_master_key_break,
     run_uks,
 )
-from .ecksim import freshness_truth_table, run_random_guess_adversary
-from .group import DEFAULT_Q, GroupParams, is_prime
-from .kgc import KGC
-from .protocol import Role, Variant, complete_session, start_session, transcript_record
+from .ecksim import (
+    freshness_truth_table,
+    run_honest_exchange,
+    run_random_guess_adversary,
+    two_party_world,
+)
+from .group import DEFAULT_Q, is_prime
+from .protocol import Variant, transcript_record
+
+
+def _decimal(text: str) -> int:
+    try:
+        return int(text, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer") from None
 
 
 def _prime_order(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer") from None
+    value = _decimal(text)
     if value <= 3 or value >= 1 << 64 or not is_prime(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a prime in (3, 2^64)")
     return value
 
 
 def _seed(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer") from None
+    value = _decimal(text)
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return value
 
 
 def _trials(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer") from None
+    value = _decimal(text)
     if value < 1:
         raise argparse.ArgumentTypeError("trials must be at least 1")
     return value
@@ -92,25 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_handshake(args: argparse.Namespace) -> tuple[dict, str]:
-    variant = Variant(args.variant)
-    rng = random.Random(args.seed)
-    group = GroupParams(args.q)
-    kgc = KGC(rng, group)
-    alice = kgc.extract("alice")
-    bob = kgc.extract("bob")
-    a_sess, r_a = start_session(kgc.params, alice, "bob", Role.INITIATOR, variant, rng)
-    b_sess, r_b = start_session(kgc.params, bob, "alice", Role.RESPONDER, variant, rng)
-    complete_session(b_sess, r_a, bob, kgc.params)
-    complete_session(a_sess, r_b, alice, kgc.params)
+    world = two_party_world(args.seed, Variant(args.variant), args.q)
+    h_init, h_resp = run_honest_exchange(world, "alice", "bob")
     doc = {
         "command": "handshake",
         "seed": args.seed,
-        "group": group.to_json(),
-        "digest": kgc.params.digest,
+        "group": world.params.group.to_json(),
+        "digest": world.params.digest,
     }
-    doc.update(transcript_record(a_sess, b_sess))
+    doc.update(transcript_record(world.session(h_init), world.session(h_resp)))
     match = doc["initiator_key_digest"] == doc["responder_key_digest"]
-    return doc, f"handshake ({variant.value}): keys match: {match}"
+    return doc, f"handshake ({args.variant}): keys match: {match}"
 
 
 def _cmd_uks(args: argparse.Namespace) -> tuple[dict, str]:

@@ -13,9 +13,13 @@ when one of these holds:
 
     1    the session key of sid or sid* was revealed
     2a   (sid* exists) A's long-term key and sid's ephemeral both revealed
-    2b   (sid* exists) B's long-term key and sid*'s ephemeral both revealed
+    2b   (sid* exists) B corrupted and sid*'s ephemeral revealed
     3a   (no sid*)     A's long-term key and sid's ephemeral both revealed
-    3b   (no sid*)     B's long-term key revealed at all
+    3b   (no sid*)     B corrupted at all
+
+A party is corrupted once the log names it: its long-term key was revealed
+or the adversary extracted the identity itself. eCK requires an honest peer,
+and a peer whose key the adversary registered is not one.
 
 The test/guess pair plays real-or-random: `test` flips a hidden bit and
 returns either the real session key or 32 uniform bytes; `guess` wins
@@ -29,8 +33,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CapabilityError, QueryError, SessionStateError
-from .group import DEFAULT_Q, GElem, GroupParams, random_scalar
+from .errors import QueryError, SessionStateError
+from .group import DEFAULT_Q, GElem, GroupParams
 from .kgc import KGC, IdentityKey, SystemParams
 from .oracles import DEFAULT_DIGEST, KEY_BYTES
 from .protocol import (
@@ -132,13 +136,13 @@ class World:
     def deliver(self, handle: int, element: GElem) -> None:
         """Hand an element of the adversary's choice to a session. The
         session completes (or rejects); nothing is returned."""
-        session = self._session(handle)
+        session = self.session(handle)
         complete_session(session, element, self._party_keys(session.owner), self.params)
 
     def matching_session(self, handle: int) -> int | None:
         """Handle of the first accepted session (creation order) matching
         crosswise, or None."""
-        own = session_id(self._session(handle))
+        own = session_id(self.session(handle))
         for other_handle, other in self._sessions.items():
             if other_handle == handle or other.status is not Status.ACCEPTED:
                 continue
@@ -147,9 +151,6 @@ class World:
         return None
 
     def session(self, handle: int) -> Session:
-        return self._session(handle)
-
-    def _session(self, handle: int) -> Session:
         try:
             return self._sessions[handle]
         except KeyError:
@@ -165,13 +166,13 @@ class World:
 
     def eph_reveal(self, handle: int) -> int:
         """Reveal a session's ephemeral scalar."""
-        session = self._session(handle)
+        session = self.session(handle)
         self.log.append(QueryRecord(QueryKind.EPHEMERAL_KEY_REVEAL, session=handle))
         return session.x
 
     def key_reveal(self, handle: int) -> bytes:
         """Reveal an accepted session's key."""
-        session = self._session(handle)
+        session = self.session(handle)
         if session.status is not Status.ACCEPTED:
             raise SessionStateError("session key exists only after acceptance")
         self.log.append(QueryRecord(QueryKind.SESSION_KEY_REVEAL, session=handle))
@@ -185,8 +186,8 @@ class World:
 
     def adv_extract(self, identity: str) -> IdentityKey:
         """Let the adversary register its own identity with the KGC and
-        collect the key material. Logged as an extraction, which the
-        freshness rule ignores for sessions the identity does not own."""
+        collect the key material. Logged as an extraction, which corrupts
+        the identity: no session that names it as peer is fresh."""
         if identity in self._parties:
             raise QueryError(f"{identity!r} is already a registered party")
         keys = self.kgc.extract(identity)
@@ -199,34 +200,29 @@ class World:
         """Evaluate the freshness rule for an accepted session against the
         current query log. Clauses are checked in order 1, 2a/3a, 2b/3b
         and the first violated one is reported."""
-        session = self._session(handle)
+        session = self.session(handle)
         if session.status is not Status.ACCEPTED:
             raise SessionStateError("freshness is defined only for accepted sessions")
         star = self.matching_session(handle)
+        matched = star is not None
 
         def revealed(kind: QueryKind, target: int) -> bool:
             return any(r.kind is kind and r.session == target for r in self.log)
 
         def corrupted(identity: str) -> bool:
-            return any(
-                r.kind is QueryKind.PRIVATE_KEY_REVEAL and r.identity == identity
-                for r in self.log
-            )
+            # only PrivateKeyReveal and Extract records carry an identity
+            return any(r.identity == identity for r in self.log)
 
         if revealed(QueryKind.SESSION_KEY_REVEAL, handle) or (
-            star is not None and revealed(QueryKind.SESSION_KEY_REVEAL, star)
+            matched and revealed(QueryKind.SESSION_KEY_REVEAL, star)
         ):
             return FreshnessVerdict(False, "1")
-        if star is not None:
-            if corrupted(session.owner) and revealed(QueryKind.EPHEMERAL_KEY_REVEAL, handle):
-                return FreshnessVerdict(False, "2a")
-            if corrupted(session.peer) and revealed(QueryKind.EPHEMERAL_KEY_REVEAL, star):
-                return FreshnessVerdict(False, "2b")
-        else:
-            if corrupted(session.owner) and revealed(QueryKind.EPHEMERAL_KEY_REVEAL, handle):
-                return FreshnessVerdict(False, "3a")
-            if corrupted(session.peer):
-                return FreshnessVerdict(False, "3b")
+        if corrupted(session.owner) and revealed(QueryKind.EPHEMERAL_KEY_REVEAL, handle):
+            return FreshnessVerdict(False, "2a" if matched else "3a")
+        if corrupted(session.peer) and (
+            not matched or revealed(QueryKind.EPHEMERAL_KEY_REVEAL, star)
+        ):
+            return FreshnessVerdict(False, "2b" if matched else "3b")
         return FreshnessVerdict(True)
 
     # -- the distinguishing game --------------------------------------------
@@ -236,7 +232,7 @@ class World:
         or 32 uniform bytes (bit 1). Allowed once per experiment."""
         if self._test_handle is not None:
             raise QueryError("only one test query is allowed")
-        session = self._session(handle)
+        session = self.session(handle)
         if session.status is not Status.ACCEPTED:
             raise SessionStateError("only an accepted session can be tested")
         self._test_handle = handle
@@ -272,7 +268,7 @@ class World:
         test_session = None
         freshness = None
         if self._test_handle is not None:
-            test_session = session_id(self._session(self._test_handle)).to_json()
+            test_session = session_id(self.session(self._test_handle)).to_json()
             freshness = self.is_fresh(self._test_handle).to_json()
         return {
             "seed": self.seed,
@@ -285,6 +281,20 @@ class World:
             "verdict": self._outcome.value if self._outcome else None,
             "freshness": freshness,
         }
+
+
+def two_party_world(
+    seed: int,
+    variant: Variant,
+    q: int = DEFAULT_Q,
+    digest: str = DEFAULT_DIGEST,
+    master_key_reveal: bool = False,
+) -> World:
+    """A World with the honest parties alice and bob registered."""
+    world = World(seed, variant, q, digest, master_key_reveal)
+    world.add_party("alice")
+    world.add_party("bob")
+    return world
 
 
 def run_honest_exchange(world: World, initiator: str, responder: str) -> tuple[int, int]:
@@ -301,9 +311,7 @@ def run_random_guess_adversary(
 ) -> dict:
     """Calibration probe: honest run, test, then a coin-flip guess. Over
     many seeds the win rate must sit at one half."""
-    world = World(seed, variant, q)
-    world.add_party("alice")
-    world.add_party("bob")
+    world = two_party_world(seed, variant, q)
     h_init, _ = run_honest_exchange(world, "alice", "bob")
     world.test(h_init)
     world.guess(world.rng.getrandbits(1))
@@ -314,9 +322,7 @@ def run_key_reveal_violator(variant: Variant, seed: int, q: int = DEFAULT_Q) -> 
     """Calibration probe for clause 1: reveal the test session's key after
     the test query, then guess the bit correctly. The reveal must turn
     even a correct guess into an invalid experiment."""
-    world = World(seed, variant, q)
-    world.add_party("alice")
-    world.add_party("bob")
+    world = two_party_world(seed, variant, q)
     h_init, _ = run_honest_exchange(world, "alice", "bob")
     answer = world.test(h_init)
     real_key = world.key_reveal(h_init)
@@ -332,12 +338,7 @@ _ATOMS_MATCHED = (
     "EphemeralKeyReveal(sid)",
     "EphemeralKeyReveal(sid*)",
 )
-_ATOMS_UNMATCHED = (
-    "SessionKeyReveal(sid)",
-    "PrivateKeyReveal(owner)",
-    "PrivateKeyReveal(peer)",
-    "EphemeralKeyReveal(sid)",
-)
+_ATOMS_UNMATCHED = tuple(atom for atom in _ATOMS_MATCHED if "sid*" not in atom)
 
 
 def freshness_truth_table(
@@ -355,9 +356,7 @@ def freshness_truth_table(
         atoms = _ATOMS_MATCHED if matched else _ATOMS_UNMATCHED
         for mask in range(1 << len(atoms)):
             chosen = [atom for i, atom in enumerate(atoms) if mask >> i & 1]
-            world = World(seed, variant, q)
-            world.add_party("alice")
-            world.add_party("bob")
+            world = two_party_world(seed, variant, q)
             if matched:
                 h_sid, h_star = run_honest_exchange(world, "alice", "bob")
             else:

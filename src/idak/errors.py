@@ -13,15 +13,6 @@ class DecodeError(IdakError):
     """A byte string is not a canonical element encoding."""
 
 
-class BackendCapabilityError(IdakError):
-    """The active group backend cannot perform the requested operation.
-
-    The toy backend never raises this; a backend over a real pairing
-    curve must raise it from `dlog` and `dbdh_check`, which only make
-    sense when exponents are recoverable.
-    """
-
-
 class EmptyIdentityError(IdakError):
     """Identity strings must be nonempty."""
 

@@ -6,12 +6,6 @@ the exponent e, the pairing multiplies exponents mod q, and the discrete
 logarithm is therefore available for free as a test oracle (`dlog`).
 Bilinearity, symmetry and non-degeneracy hold exactly; hardness is
 deliberately absent, which is what makes the attack harness checkable.
-
-A production backend over an asymmetric pairing curve would swap in its
-own element types behind the same surface (constructors, `pair`, the
-`*` / `**` operators, `to_bytes` / `from_bytes`). Such a backend must
-raise `errors.BackendCapabilityError` from `dlog` and `dbdh_check`,
-which require exponent visibility.
 """
 
 from __future__ import annotations
@@ -103,6 +97,8 @@ class _Elem:
         return self.__class__(self.params, self.exp + other.exp)
 
     def __pow__(self, scalar: int) -> _Elem:
+        if not isinstance(scalar, int):
+            raise TypeError(f"exponent must be an int, not {type(scalar).__name__}")
         return self.__class__(self.params, self.exp * scalar)
 
     @property

@@ -170,22 +170,16 @@ def complete_session(
     if r_in.is_identity:
         raise InvalidElementError("identity element rejected as an exchange message")
 
-    if session.role is Role.INITIATOR:
-        id_init, id_resp = session.owner, session.peer
-        r_init, r_resp = session.r_out, r_in
-    else:
-        id_init, id_resp = session.peer, session.owner
-        r_init, r_resp = r_in, session.r_out
-
+    initiator = session.role is Role.INITIATOR
+    id_init, id_resp = (session.owner, session.peer) if initiator else (session.peer, session.owner)
+    r_init, r_resp = (session.r_out, r_in) if initiator else (r_in, session.r_out)
     s_init, s_resp = session_scalars(
         session.variant, id_init, id_resp, r_init, r_resp, params.digest
     )
+    s_own, s_peer = (s_init, s_resp) if initiator else (s_resp, s_init)
     peer_base = hash_to_group(params.group, session.peer, params.digest)
     h = params.group.h
-    if session.role is Role.INITIATOR:
-        shared = pair(peer_base**s_resp * r_resp, keys.private_key ** ((session.x + s_init) * h))
-    else:
-        shared = pair(peer_base**s_init * r_init, keys.private_key ** ((session.x + s_resp) * h))
+    shared = pair(peer_base**s_peer * r_in, keys.private_key ** ((session.x + s_own) * h))
     key = derive_session_key(
         session.variant, id_init, id_resp, r_init, r_resp, shared, params.digest
     )

@@ -1,10 +1,13 @@
 """Command-line front end: JSON documents, flags, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from idak.cli import main
 
 COMMANDS = [
     ["handshake"],
@@ -102,3 +105,31 @@ def test_attack_failure_is_data_not_exit_code():
     result = run_cli("uks", "--variant", "hardened")
     assert json.loads(result.stdout)["success"] is False
     assert result.returncode == 0
+
+
+# sha256 of stdout, recorded before the attack scripts moved onto World;
+# a refactor that changes any output byte fails here
+FROZEN_DIGESTS = {
+    ("handshake", "--seed", "3", "original"): "a80a58f601ad855dc4a51d8028b41f4a1f2905c797e410a124f20575b6173a87",
+    ("handshake", "--seed", "3", "hardened"): "9b8658635a65942c258d621fe153b63e6522852fc14aa606e340244e6630e3d5",
+    ("uks", "--seed", "7", "original"): "8d83f8463493bdfa0fab21bd7989f6f1481542c07bea6fc1237815d45fce5056",
+    ("uks", "--seed", "7", "hardened"): "f4c61cddcdc2505cab8bf84a0678b1e0509e112b5ef6ccfab38f3011c206b73a",
+    ("mkbreak", "--seed", "11", "original"): "13e263d20c1c60331cd5e773991b3d4bdcef240b3ce1f147ce328b8416c452a4",
+    ("mkbreak", "--seed", "11", "hardened"): "25036e38445ff426caf0490dd3b15d2a844ececd34dd99f75cbe6fe6b5876794",
+    ("kci", "--seed", "5", "original"): "97f63fc4967bab9744c609de18c081bb2a9de937c7830457ff5fa1bbeb13f9a0",
+    ("kci", "--seed", "5", "hardened"): "97f63fc4967bab9744c609de18c081bb2a9de937c7830457ff5fa1bbeb13f9a0",
+    ("dlog-adv", "--seed", "2", "original"): "dbba5c6800a6f9d5dcfa3d40825429c2218b1f49c65f00b880e09b0951845532",
+    ("dlog-adv", "--seed", "2", "hardened"): "e491f93cb2e665230a51f20f09c73a7bef92ece8e6e325944f6a46171b270454",
+    ("eck-batch", "--seed", "0", "--trials", "25", "original"): "8363acb3bd92631d2dfd90fc06a57d19aa1e0ba9c1ffad1dcd3d7c56687ce320",
+    ("eck-batch", "--seed", "0", "--trials", "25", "hardened"): "5cd7156f98359f8a840259522686e9bf5873a1f5b9f21dd82bc5c31d44a589f2",
+    ("freshness-table", "--seed", "1", "original"): "dd764fcc583c4e4f58a83a660dc666aee0cf18472b55595e0eecd014913068ba",
+    ("freshness-table", "--seed", "1", "hardened"): "ce4d3792db51a1a23a76891903fa5780a5e88a11e7d95ad27a1a253067560219",
+}
+
+
+@pytest.mark.parametrize("key", FROZEN_DIGESTS, ids=lambda k: "-".join(k[:1] + k[-1:]))
+def test_stdout_bytes_are_frozen(key, capsys):
+    *argv, variant = key
+    assert main([*argv, "--variant", variant]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == FROZEN_DIGESTS[key]

@@ -10,12 +10,14 @@ from idak import (
     Status,
     Variant,
     World,
+    complete_session,
     dlog,
     freshness_truth_table,
     pair,
     run_honest_exchange,
     run_key_reveal_violator,
     run_random_guess_adversary,
+    start_session,
 )
 from idak.errors import QueryError, SessionStateError
 
@@ -287,3 +289,30 @@ def test_report_shape():
     assert report["query_log"][0] == {"query": "Test", "session": h_init}
     assert report["test_session"]["owner"] == "alice"
     assert report["test_session"]["role"] == "initiator"
+
+
+def eve_peer_adversary(variant, seed):
+    """Bob opens a session to eve, an identity the adversary registered;
+    the adversary plays eve's side with eve's key, so it knows bob's key
+    and always names the hidden bit. Bob's peer is corrupted, so the
+    experiment must be invalid rather than a win."""
+    world = make_world(seed, variant)
+    eve = world.adv_extract("eve")
+    e_sess, r_e = start_session(
+        world.params, eve, "bob", Role.INITIATOR, variant, random.Random(seed)
+    )
+    h_bob, r_bob = world.activate("bob", "eve", Role.RESPONDER)
+    world.deliver(h_bob, r_e)
+    key_eve = complete_session(e_sess, r_bob, eve, world.params)
+    answer = world.test(h_bob)
+    world.guess(0 if answer == key_eve else 1)
+    return world.experiment_report("eve-peer")
+
+
+@pytest.mark.parametrize("variant", [Variant.ORIGINAL, Variant.HARDENED])
+def test_adversary_registered_peer_is_never_fresh(variant):
+    for seed in range(200):
+        report = eve_peer_adversary(variant, seed)
+        assert report["verdict"] == Outcome.INVALID.value
+        assert report["freshness"]["violated_clause"] in ("2b", "3b")
+        assert report["hidden_bit"] == report["guess"]

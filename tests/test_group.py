@@ -97,6 +97,14 @@ def test_elem_types_do_not_mix(p101):
         pair(p101.g, p101.gt)
 
 
+@pytest.mark.parametrize("scalar", [1.5, 2.0])
+def test_non_integer_exponent_rejected(p101, scalar):
+    with pytest.raises(TypeError):
+        p101.g**scalar
+    with pytest.raises(TypeError):
+        p101.gt**scalar
+
+
 def test_random_scalar_determinism(p101):
     draws1 = [random_scalar(random.Random(5), p101) for _ in range(1)]
     draws2 = [random_scalar(random.Random(5), p101) for _ in range(1)]
