@@ -2,7 +2,7 @@
 adversary harness that exercises it.
 
 Layers, bottom up: `group` (exponent-transparent bilinear pairing),
-`oracles` (domain-separated hashing), `kgc` (master key and extraction),
+`oracles` (domain-separated sha256), `kgc` (master key and extraction),
 `protocol` (two-pass exchange in two variants), `ecksim` (adversarial
 network and the distinguishing game), `attacks` (scripted adversaries),
 `cli` (JSON-emitting command-line front end).
@@ -46,9 +46,9 @@ from .group import (
     pair,
     random_scalar,
 )
-from .kgc import KGC, IdentityKey, SystemParams
+from .kgc import KGC, IdentityKey
 from .oracles import (
-    DEFAULT_DIGEST,
+    DIGEST,
     KEY_BYTES,
     bound_scalar,
     derive_key_bound,
@@ -76,8 +76,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackReport",
-    "DEFAULT_DIGEST",
     "DEFAULT_Q",
+    "DIGEST",
     "FreshnessVerdict",
     "GElem",
     "GTElem",
@@ -93,7 +93,6 @@ __all__ = [
     "Session",
     "SessionId",
     "Status",
-    "SystemParams",
     "Variant",
     "World",
     "XChoice",

@@ -18,7 +18,7 @@ from enum import Enum
 
 from .ecksim import World, run_honest_exchange, two_party_world
 from .group import DEFAULT_Q, GElem, dlog, pair, random_scalar
-from .oracles import DEFAULT_DIGEST, hash_to_group, key_digest
+from .oracles import hash_to_group, key_digest
 from .protocol import (
     Role,
     Status,
@@ -89,11 +89,11 @@ def _transcript_key(
     key: d_resp and r_resp_alpha are the master-key powers of bob's identity
     point and of r_resp, so pair(d_resp^s_r * r_resp_alpha, r_init * H(alice)^s_i)^h
     is her shared value, and every other input of the derivation is public."""
-    params, variant = world.params, world.variant
-    s_init, s_resp = session_scalars(variant, "alice", "bob", r_init, r_resp, params.digest)
-    a_base = hash_to_group(params.group, "alice", params.digest)
-    shared = pair(d_resp**s_resp * r_resp_alpha, r_init * a_base**s_init) ** params.group.h
-    return derive_session_key(variant, "alice", "bob", r_init, r_resp, shared, params.digest)
+    variant = world.variant
+    s_init, s_resp = session_scalars(variant, "alice", "bob", r_init, r_resp)
+    a_base = hash_to_group(world.params, "alice")
+    shared = pair(d_resp**s_resp * r_resp_alpha, r_init * a_base**s_init) ** world.params.h
+    return derive_session_key(variant, "alice", "bob", r_init, r_resp, shared)
 
 
 def _digest_knowledge(knowledge: list[str], prefix: str) -> str | None:
@@ -131,12 +131,7 @@ def kci_success(parties: list[PartyRecord], knowledge: list[str]) -> bool:
     return candidate is not None and victim.accepted and candidate == victim.key_digest
 
 
-def run_uks(
-    variant: Variant,
-    seed: int,
-    q: int = DEFAULT_Q,
-    digest: str = DEFAULT_DIGEST,
-) -> AttackReport:
+def run_uks(variant: Variant, seed: int, q: int = DEFAULT_Q) -> AttackReport:
     """Identity-misbinding interception.
 
     The adversary registers its own identity eve, intercepts alice's
@@ -146,8 +141,7 @@ def run_uks(
     whether the two honest keys actually coincide, which is what would
     turn the confusion into a shared-key misbinding.
     """
-    world = two_party_world(seed, variant, q, digest)
-    params = world.params
+    world = two_party_world(seed, variant, q)
     events: list[str] = []
 
     eve = world.adv_extract("eve")
@@ -158,7 +152,7 @@ def run_uks(
     events.append("adversary intercepted alice's message; bob never sees it")
 
     # eve's session belongs to the adversary, so it runs outside the world
-    e_sess, r_e = start_session(params, eve, "bob", Role.INITIATOR, variant, world.rng)
+    e_sess, r_e = start_session(world.params, eve, "bob", Role.INITIATOR, variant, world.rng)
     events.append(f"adversary opened its own session to bob as eve, sending {r_e.hex()}")
 
     h_b, r_b = world.activate("bob", "eve", Role.RESPONDER)
@@ -169,7 +163,7 @@ def run_uks(
     world.deliver(h_a, r_b)
     events.append("adversary relayed bob's response to alice; alice accepted, believing bob")
 
-    key_eve = complete_session(e_sess, r_b, eve, params)
+    key_eve = complete_session(e_sess, r_b, eve, world.params)
     knowledge = [
         "private_key:eve",
         "ephemeral_scalar:eve_session",
@@ -193,7 +187,6 @@ def run_master_key_break(
     variant: Variant,
     seed: int,
     q: int = DEFAULT_Q,
-    digest: str = DEFAULT_DIGEST,
     master_key_reveal: bool = True,
 ) -> AttackReport:
     """Passive break with the master key.
@@ -205,7 +198,7 @@ def run_master_key_break(
     transcript supplies everything else the key derivation consumes.
     With master_key_reveal left off, the script refuses to run.
     """
-    world = two_party_world(seed, variant, q, digest, master_key_reveal)
+    world = two_party_world(seed, variant, q, master_key_reveal)
     h_a, h_b = run_honest_exchange(world, "alice", "bob")
     events = ["alice and bob completed an honest run; adversary only observed the wire"]
 
@@ -213,7 +206,7 @@ def run_master_key_break(
     events.append("adversary obtained the master key through the reveal capability")
 
     init = world.session(h_a)
-    b_base = hash_to_group(world.params.group, "bob", digest)
+    b_base = hash_to_group(world.params, "bob")
     candidate = _transcript_key(world, init.r_out, init.r_in, b_base**alpha, init.r_in**alpha)
     events.append("adversary recomputed the session key from the public transcript alone")
 
@@ -238,7 +231,6 @@ def run_kci_attempt(
     x_choice: XChoice,
     corrupt_b: bool,
     q: int = DEFAULT_Q,
-    digest: str = DEFAULT_DIGEST,
 ) -> AttackReport:
     """Key-compromise impersonation attempt against the original variant.
 
@@ -253,8 +245,8 @@ def run_kci_attempt(
     only in branches whose inputs the adversary actually holds.
     """
     variant = Variant.ORIGINAL
-    world = two_party_world(seed, variant, q, digest)
-    group = world.params.group
+    world = two_party_world(seed, variant, q)
+    group = world.params
     world.private_reveal("alice")
     events = ["adversary revealed alice's long-term key"]
     knowledge = ["private_key:alice"]
@@ -269,7 +261,7 @@ def run_kci_attempt(
     events.append("alice's opening message reached bob; bob responded and accepted")
 
     if x_choice is XChoice.IDENTITY_POINT_OF_B:
-        x_sub = hash_to_group(group, "bob", digest)
+        x_sub = hash_to_group(group, "bob")
         events.append("adversary replaced bob's response with bob's identity point")
     else:
         x_sub = group.g ** random_scalar(world.rng, group)
@@ -316,7 +308,7 @@ def run_dlog_extract_adversary(
     alpha = dlog(eve.private_key) * pow(dlog(eve.public_key), -1, q) % q
 
     init = world.session(h_init)
-    b_base = hash_to_group(world.params.group, "bob", world.params.digest)
+    b_base = hash_to_group(world.params, "bob")
     candidate = _transcript_key(world, init.r_out, init.r_in, b_base**alpha, init.r_in**alpha)
 
     answer = world.test(h_init)

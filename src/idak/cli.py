@@ -27,6 +27,7 @@ from .ecksim import (
     two_party_world,
 )
 from .group import DEFAULT_Q, is_prime
+from .oracles import DIGEST
 from .protocol import Variant, transcript_record
 
 
@@ -98,8 +99,8 @@ def _cmd_handshake(args: argparse.Namespace) -> tuple[dict, str]:
     doc = {
         "command": "handshake",
         "seed": args.seed,
-        "group": world.params.group.to_json(),
-        "digest": world.params.digest,
+        "group": world.params.to_json(),
+        "digest": DIGEST,
     }
     doc.update(transcript_record(world.session(h_init), world.session(h_resp)))
     match = doc["initiator_key_digest"] == doc["responder_key_digest"]

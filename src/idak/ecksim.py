@@ -35,8 +35,8 @@ from enum import Enum
 
 from .errors import QueryError, SessionStateError
 from .group import DEFAULT_Q, GElem, GroupParams
-from .kgc import KGC, IdentityKey, SystemParams
-from .oracles import DEFAULT_DIGEST, KEY_BYTES
+from .kgc import KGC, IdentityKey
+from .oracles import KEY_BYTES
 from .protocol import (
     Role,
     Session,
@@ -100,14 +100,13 @@ class World:
         seed: int,
         variant: Variant = Variant.HARDENED,
         q: int = DEFAULT_Q,
-        digest: str = DEFAULT_DIGEST,
         master_key_reveal: bool = False,
     ) -> None:
         self.seed = seed
         self.variant = variant
         self.rng = random.Random(seed)
-        self.kgc = KGC(self.rng, GroupParams(q), digest, master_key_reveal=master_key_reveal)
-        self.params: SystemParams = self.kgc.params
+        self.kgc = KGC(self.rng, GroupParams(q), master_key_reveal=master_key_reveal)
+        self.params: GroupParams = self.kgc.params
         self.log: list[QueryRecord] = []
         self._parties: dict[str, IdentityKey] = {}
         self._sessions: dict[int, Session] = {}
@@ -287,11 +286,10 @@ def two_party_world(
     seed: int,
     variant: Variant,
     q: int = DEFAULT_Q,
-    digest: str = DEFAULT_DIGEST,
     master_key_reveal: bool = False,
 ) -> World:
     """A World with the honest parties alice and bob registered."""
-    world = World(seed, variant, q, digest, master_key_reveal)
+    world = World(seed, variant, q, master_key_reveal)
     world.add_party("alice")
     world.add_party("bob")
     return world
@@ -362,8 +360,9 @@ def freshness_truth_table(
             else:
                 h_sid, r_sid = world.activate("alice", "bob", Role.INITIATOR)
                 h_other, r_other = world.activate("bob", "alice", Role.RESPONDER)
-                # tampered response: alice accepts a transcript bob never saw
-                world.deliver(h_sid, r_other * world.params.group.g)
+                # tampered response: alice accepts a transcript bob never saw;
+                # squaring keeps it off the identity and off r_other for q > 3
+                world.deliver(h_sid, r_other**2)
                 world.deliver(h_other, r_sid)
                 h_star = None
             for atom in chosen:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import DecodeError, GroupMismatchError
 
@@ -46,19 +47,17 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Public parameters of the toy group: prime order q, co-factor h,
-    and the byte width of the canonical element encoding."""
+    """Public parameters of the toy group: the prime order q, plus the
+    fixed co-factor h and byte width of the canonical element encoding."""
 
     q: int
-    h: int = 1
-    width: int = 8
+    h: ClassVar[int] = 1
+    width: ClassVar[int] = 8
 
     def __post_init__(self) -> None:
         if self.q <= 3 or not is_prime(self.q):
             raise ValueError(f"group order must be a prime above 3, got {self.q}")
-        if self.h < 1:
-            raise ValueError(f"co-factor must be at least 1, got {self.h}")
-        if self.width < 1 or self.q > 1 << (8 * self.width):
+        if self.q > 1 << (8 * self.width):
             raise ValueError("group order does not fit the encoding width")
 
     @property

@@ -7,15 +7,7 @@ from dataclasses import dataclass
 
 from .errors import CapabilityError
 from .group import DEFAULT_Q, GElem, GroupParams, random_scalar
-from .oracles import DEFAULT_DIGEST, hash_to_group
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Everything public a party needs: the group and the digest name."""
-
-    group: GroupParams
-    digest: str = DEFAULT_DIGEST
+from .oracles import hash_to_group
 
 
 @dataclass(frozen=True)
@@ -42,12 +34,10 @@ class KGC:
         self,
         rng: random.Random,
         group: GroupParams | None = None,
-        digest: str = DEFAULT_DIGEST,
         master_key_reveal: bool = False,
     ) -> None:
-        group = group if group is not None else GroupParams(DEFAULT_Q)
-        self.params = SystemParams(group, digest)
-        self._alpha = random_scalar(rng, group)
+        self.params = group if group is not None else GroupParams(DEFAULT_Q)
+        self._alpha = random_scalar(rng, self.params)
         self._master_key_reveal = master_key_reveal
         self._registry: dict[str, IdentityKey] = {}
 
@@ -57,14 +47,10 @@ class KGC:
         existing = self._registry.get(identity)
         if existing is not None:
             return existing
-        base = hash_to_group(self.params.group, identity, self.params.digest)
+        base = hash_to_group(self.params, identity)
         key = IdentityKey(identity, base, base**self._alpha)
         self._registry[identity] = key
         return key
-
-    def registered_identities(self) -> list[str]:
-        """Identities seen so far, in first-extraction order."""
-        return list(self._registry)
 
     def reveal_master_key(self) -> int:
         """Hand the master secret to the caller. Gated: the KGC must have
@@ -72,15 +58,3 @@ class KGC:
         if not self._master_key_reveal:
             raise CapabilityError("master-key reveal is not enabled on this KGC")
         return self._alpha
-
-    def export_state(self) -> dict:
-        """JSON-ready snapshot. The master secret appears only when the
-        reveal capability was enabled."""
-        state: dict = {
-            "group": self.params.group.to_json(),
-            "digest": self.params.digest,
-            "registered_identities": self.registered_identities(),
-        }
-        if self._master_key_reveal:
-            state["master_key"] = str(self._alpha)
-        return state

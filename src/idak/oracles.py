@@ -1,8 +1,8 @@
 """Random oracles used by the protocol: hash-to-group, transcript
 scalars, and key derivation.
 
-Every oracle runs one configurable 256-bit digest (default sha256) over
-a tag-prefixed input, so no two oracles can agree on any input:
+Every oracle runs sha256 over a tag-prefixed input, so no two oracles can
+agree on any input:
 
     H1G   identity -> non-identity element of G
     PI0   ordered message pair -> scalar in [1, q-1]
@@ -22,7 +22,7 @@ import hashlib
 from .errors import EmptyIdentityError, GroupMismatchError
 from .group import GElem, GroupParams, GTElem
 
-DEFAULT_DIGEST = "sha256"
+DIGEST = "sha256"  # the hash in _digest, named in the handshake JSON
 KEY_BYTES = 32
 
 _TAG_HASH_TO_GROUP = b"H1G"
@@ -32,11 +32,8 @@ _TAG_KDF_BOUND = b"KDF"
 _TAG_KDF_PLAIN = b"KDF0"
 
 
-def _digest(digest: str, data: bytes) -> bytes:
-    h = hashlib.new(digest, data)
-    if h.digest_size != KEY_BYTES:
-        raise ValueError(f"digest {digest!r} is not a 256-bit function")
-    return h.digest()
+def _digest(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
 
 
 def _identity_bytes(identity: str) -> bytes:
@@ -54,9 +51,9 @@ def _to_scalar(digest_bytes: bytes, q: int) -> int:
     return 1 + int.from_bytes(digest_bytes, "big") % (q - 1)
 
 
-def hash_to_group(group: GroupParams, identity: str, digest: str = DEFAULT_DIGEST) -> GElem:
+def hash_to_group(group: GroupParams, identity: str) -> GElem:
     """Map an identity to g^(1 + (D(tag || id) mod (q-1))), never the identity element."""
-    e = _to_scalar(_digest(digest, _TAG_HASH_TO_GROUP + _identity_bytes(identity)), group.q)
+    e = _to_scalar(_digest(_TAG_HASH_TO_GROUP + _identity_bytes(identity)), group.q)
     return GElem(group, e)
 
 
@@ -66,12 +63,12 @@ def _same_group(r_first: GElem, r_second: GElem) -> GroupParams:
     return r_first.params
 
 
-def transcript_scalar(r_first: GElem, r_second: GElem, digest: str = DEFAULT_DIGEST) -> int:
+def transcript_scalar(r_first: GElem, r_second: GElem) -> int:
     """Scalar hash of an ordered message pair. Order matters: swapping
     the arguments is a different oracle input."""
     params = _same_group(r_first, r_second)
     data = _TAG_SCALAR_PLAIN + r_first.to_bytes() + r_second.to_bytes()
-    return _to_scalar(_digest(digest, data), params.q)
+    return _to_scalar(_digest(data), params.q)
 
 
 def bound_scalar(
@@ -79,7 +76,6 @@ def bound_scalar(
     id_second: str,
     r_first: GElem,
     r_second: GElem,
-    digest: str = DEFAULT_DIGEST,
 ) -> int:
     """Scalar hash binding both identities to the ordered message pair."""
     params = _same_group(r_first, r_second)
@@ -90,7 +86,7 @@ def bound_scalar(
         + r_first.to_bytes()
         + r_second.to_bytes()
     )
-    return _to_scalar(_digest(digest, data), params.q)
+    return _to_scalar(_digest(data), params.q)
 
 
 def derive_key_bound(
@@ -99,7 +95,6 @@ def derive_key_bound(
     r_first: GElem,
     r_second: GElem,
     shared: GTElem,
-    digest: str = DEFAULT_DIGEST,
 ) -> bytes:
     """32-byte session key over identities, transcript, and shared value."""
     data = (
@@ -110,12 +105,12 @@ def derive_key_bound(
         + r_second.to_bytes()
         + shared.to_bytes()
     )
-    return _digest(digest, data)
+    return _digest(data)
 
 
-def derive_key_plain(shared: GTElem, digest: str = DEFAULT_DIGEST) -> bytes:
+def derive_key_plain(shared: GTElem) -> bytes:
     """32-byte session key from the shared value alone."""
-    return _digest(digest, _TAG_KDF_PLAIN + shared.to_bytes())
+    return _digest(_TAG_KDF_PLAIN + shared.to_bytes())
 
 
 def key_digest(key: bytes) -> str:

@@ -32,8 +32,8 @@ from .errors import (
     InvalidElementError,
     SessionStateError,
 )
-from .group import GElem, GTElem, pair, random_scalar
-from .kgc import IdentityKey, SystemParams
+from .group import GElem, GroupParams, GTElem, pair, random_scalar
+from .kgc import IdentityKey
 from .oracles import (
     bound_scalar,
     derive_key_bound,
@@ -99,19 +99,18 @@ def session_scalars(
     id_resp: str,
     r_init: GElem,
     r_resp: GElem,
-    digest: str,
 ) -> tuple[int, int]:
     """The (initiator, responder) scalar pair for a transcript. Both
     sides of an honest run compute identical values because the inputs
     are all public."""
     if variant is Variant.ORIGINAL:
         return (
-            transcript_scalar(r_init, r_resp, digest),
-            transcript_scalar(r_resp, r_init, digest),
+            transcript_scalar(r_init, r_resp),
+            transcript_scalar(r_resp, r_init),
         )
     return (
-        bound_scalar(id_init, id_resp, r_init, r_resp, digest),
-        bound_scalar(id_resp, id_init, r_resp, r_init, digest),
+        bound_scalar(id_init, id_resp, r_init, r_resp),
+        bound_scalar(id_resp, id_init, r_resp, r_init),
     )
 
 
@@ -122,15 +121,14 @@ def derive_session_key(
     r_init: GElem,
     r_resp: GElem,
     shared: GTElem,
-    digest: str,
 ) -> bytes:
     if variant is Variant.ORIGINAL:
-        return derive_key_plain(shared, digest)
-    return derive_key_bound(id_init, id_resp, r_init, r_resp, shared, digest)
+        return derive_key_plain(shared)
+    return derive_key_bound(id_init, id_resp, r_init, r_resp, shared)
 
 
 def start_session(
-    params: SystemParams,
+    params: GroupParams,
     keys: IdentityKey,
     peer: str,
     role: Role,
@@ -141,7 +139,7 @@ def start_session(
     element public_key^x. The session stays Active until completion."""
     if not peer:
         raise EmptyIdentityError("peer identity must be nonempty")
-    x = random_scalar(rng, params.group)
+    x = random_scalar(rng, params)
     r_out = keys.public_key**x
     session = Session(keys.identity, peer, role, variant, x, r_out)
     return session, r_out
@@ -151,7 +149,7 @@ def complete_session(
     session: Session,
     r_in: GElem,
     keys: IdentityKey,
-    params: SystemParams,
+    params: GroupParams,
 ) -> bytes:
     """Accept the peer's element and compute the session key.
 
@@ -165,7 +163,7 @@ def complete_session(
         raise ValueError("key material does not belong to the session owner")
     if not isinstance(r_in, GElem):
         raise InvalidElementError("incoming message is not a source-group element")
-    if r_in.params != params.group:
+    if r_in.params != params:
         raise GroupMismatchError("incoming element from a different group instantiation")
     if r_in.is_identity:
         raise InvalidElementError("identity element rejected as an exchange message")
@@ -173,16 +171,11 @@ def complete_session(
     initiator = session.role is Role.INITIATOR
     id_init, id_resp = (session.owner, session.peer) if initiator else (session.peer, session.owner)
     r_init, r_resp = (session.r_out, r_in) if initiator else (r_in, session.r_out)
-    s_init, s_resp = session_scalars(
-        session.variant, id_init, id_resp, r_init, r_resp, params.digest
-    )
+    s_init, s_resp = session_scalars(session.variant, id_init, id_resp, r_init, r_resp)
     s_own, s_peer = (s_init, s_resp) if initiator else (s_resp, s_init)
-    peer_base = hash_to_group(params.group, session.peer, params.digest)
-    h = params.group.h
-    shared = pair(peer_base**s_peer * r_in, keys.private_key ** ((session.x + s_own) * h))
-    key = derive_session_key(
-        session.variant, id_init, id_resp, r_init, r_resp, shared, params.digest
-    )
+    peer_base = hash_to_group(params, session.peer)
+    shared = pair(peer_base**s_peer * r_in, keys.private_key ** ((session.x + s_own) * params.h))
+    key = derive_session_key(session.variant, id_init, id_resp, r_init, r_resp, shared)
 
     session.r_in = r_in
     session.key = key

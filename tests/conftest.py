@@ -6,11 +6,18 @@ test comparing the two routes actually compares two implementations.
 """
 
 import hashlib
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from idak import DEFAULT_Q, GroupParams
+
+# the CLI tests start `python -m idak` in a subprocess; give it this
+# checkout's src/, as pyproject's pythonpath does for the tests themselves
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

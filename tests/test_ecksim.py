@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idak import (
+    GroupParams,
     Outcome,
     Role,
     Status,
@@ -19,7 +22,7 @@ from idak import (
     run_random_guess_adversary,
     start_session,
 )
-from idak.errors import QueryError, SessionStateError
+from idak.errors import IdakError, QueryError, SessionStateError
 
 from conftest import reference_freshness
 
@@ -53,7 +56,7 @@ def test_substituted_delivery_breaks_agreement():
     h_init, r_init = world.activate("alice", "bob", Role.INITIATOR)
     h_resp, r_resp = world.activate("bob", "alice", Role.RESPONDER)
     world.deliver(h_resp, r_init)
-    world.deliver(h_init, r_resp * world.params.group.g)  # adversary tampers
+    world.deliver(h_init, r_resp * world.params.g)  # adversary tampers
     assert world.session(h_init).status is Status.ACCEPTED
     assert world.key_reveal(h_init) != world.key_reveal(h_resp)
     assert world.matching_session(h_init) is None
@@ -63,7 +66,7 @@ def test_deliver_to_accepted_session_fails():
     world = make_world()
     h_init, h_resp = run_honest_exchange(world, "alice", "bob")
     with pytest.raises(SessionStateError):
-        world.deliver(h_init, world.params.group.g**5)
+        world.deliver(h_init, world.params.g**5)
 
 
 def test_unknown_handles_and_identities():
@@ -71,7 +74,7 @@ def test_unknown_handles_and_identities():
     with pytest.raises(QueryError):
         world.eph_reveal(99)
     with pytest.raises(QueryError):
-        world.deliver(99, world.params.group.g)
+        world.deliver(99, world.params.g)
     with pytest.raises(QueryError):
         world.private_reveal("mallory")
     with pytest.raises(QueryError):
@@ -82,14 +85,14 @@ def test_eph_reveal_returns_the_scalar():
     world = make_world(5)
     h_init, r_init = world.activate("alice", "bob", Role.INITIATOR)
     x = world.eph_reveal(h_init)
-    assert dlog(r_init) == dlog(world.private_reveal("alice").public_key) * x % world.params.group.q
+    assert dlog(r_init) == dlog(world.private_reveal("alice").public_key) * x % world.params.q
 
 
 def test_private_reveal_returns_long_term_material():
     world = make_world(5)
     keys = world.private_reveal("bob")
-    g = world.params.group.g
-    alpha = dlog(keys.private_key) * pow(dlog(keys.public_key), -1, world.params.group.q)
+    g = world.params.g
+    alpha = dlog(keys.private_key) * pow(dlog(keys.public_key), -1, world.params.q)
     assert pair(keys.private_key, g) == pair(keys.public_key, g) ** alpha
 
 
@@ -146,11 +149,20 @@ def test_peer_corruption_alone_kills_unmatched_sessions():
     world = make_world()
     h_init, r_init = world.activate("alice", "bob", Role.INITIATOR)
     h_resp, r_resp = world.activate("bob", "alice", Role.RESPONDER)
-    world.deliver(h_init, r_resp * world.params.group.g)
+    world.deliver(h_init, r_resp * world.params.g)
     world.deliver(h_resp, r_init)
     world.private_reveal("bob")
     verdict = world.is_fresh(h_init)
     assert not verdict.fresh and verdict.violated_clause == "3b"
+
+
+def assert_rows_match_reference(rows):
+    for row in rows:
+        fresh, clause = reference_freshness(
+            row["matching_session_exists"], set(row["queries"])
+        )
+        assert row["fresh"] == fresh, row
+        assert row["violated_clause"] == clause, row
 
 
 def test_truth_table_matches_reference():
@@ -161,12 +173,18 @@ def test_truth_table_matches_reference():
     matched_rows = [r for r in rows if r["matching_session_exists"]]
     unmatched_rows = [r for r in rows if not r["matching_session_exists"]]
     assert len(matched_rows) == 64 and len(unmatched_rows) == 16
-    for row in rows:
-        fresh, clause = reference_freshness(
-            row["matching_session_exists"], set(row["queries"])
-        )
-        assert row["fresh"] == fresh, row
-        assert row["violated_clause"] == clause, row
+    assert_rows_match_reference(rows)
+
+
+@pytest.mark.parametrize("variant", [Variant.ORIGINAL, Variant.HARDENED])
+@pytest.mark.parametrize("q,seed", [(5, 1), (7, 5), (11, 1), (13, 12)])
+def test_truth_table_on_small_groups(q, seed, variant):
+    """In these worlds bob's element has exponent q-1, so a tampered
+    response of r_other * g would be the identity element and rejected;
+    the table must still build all 80 rows and match the reference."""
+    rows = freshness_truth_table(seed, variant, q)
+    assert len(rows) == 80
+    assert_rows_match_reference(rows)
 
 
 def test_matching_tiebreak_on_replayed_transcripts():
@@ -316,3 +334,76 @@ def test_adversary_registered_peer_is_never_fresh(variant):
         assert report["verdict"] == Outcome.INVALID.value
         assert report["freshness"]["violated_clause"] in ("2b", "3b")
         assert report["hidden_bit"] == report["guess"]
+
+
+# repeated kinds weight the draw toward completed, revealed and tested sessions
+_KINDS = (
+    ("activate",) * 2
+    + ("deliver",) * 3
+    + ("eph_reveal", "private_reveal") * 3
+    + ("test", "guess") * 2
+    + ("key_reveal", "adv_extract", "is_fresh", "matching_session")
+)
+_NAMES = ("alice", "bob", "eve", "")
+# every query draws all arguments and its kind reads the ones it takes; a
+# handle k >= 0 names the (k mod n)-th of the n sessions opened, -1 none
+_queries = st.tuples(
+    st.sampled_from(_KINDS),
+    st.integers(-1, 15),
+    st.sampled_from(_NAMES),
+    st.sampled_from(_NAMES),
+    st.sampled_from(Role),
+    st.sampled_from(("honest", "G", "identity", "foreign", "GT", "none")),
+    st.integers(-1, 200),
+)
+
+
+def _element(world, outgoing, kind, k):
+    """The element a deliver query hands over: an honest outgoing element,
+    a power of g, the identity, an element of another group or of GT, or None."""
+    if kind == "honest":
+        return outgoing[k % len(outgoing)]
+    if kind == "G":
+        return world.params.g**k
+    if kind == "identity":
+        return world.params.g**0
+    if kind == "foreign":
+        return GroupParams(7 if world.params.q == 5 else 5).g ** k
+    if kind == "GT":
+        return world.params.gt**k
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from((5, 101)),
+    seed=st.integers(0, 1 << 16),
+    variant=st.sampled_from(Variant),
+    queries=st.lists(_queries, min_size=8, max_size=20),
+)
+def test_fuzzed_query_sequences(q, seed, variant, queries):
+    """Any query sequence fails only with IdakError, and guess is invalid
+    exactly when the test session is not fresh. Each world starts with one
+    honest exchange, so test and guess have an accepted session to use."""
+    world = make_world(seed, variant, q)
+    outgoing = [world.session(h).r_out for h in run_honest_exchange(world, "alice", "bob")]
+    test_handle = None
+    for kind, k, name, peer, role, element, e in queries:
+        handle = 1 + k % len(outgoing) if k >= 0 else 0
+        try:
+            if kind == "activate":
+                outgoing.append(world.activate(name, peer, role)[1])
+            elif kind == "deliver":
+                world.deliver(handle, _element(world, outgoing, element, e))
+            elif kind in ("private_reveal", "adv_extract"):
+                getattr(world, kind)(name)
+            elif kind == "guess":
+                outcome = world.guess(e % 3)
+                assert (outcome is Outcome.INVALID) == (not world.is_fresh(test_handle).fresh)
+            else:
+                getattr(world, kind)(handle)
+                if kind == "test":
+                    test_handle = handle
+        except IdakError:
+            pass
+    world.experiment_report("fuzz")

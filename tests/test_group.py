@@ -29,10 +29,6 @@ def test_params_validation():
         GroupParams(100)
     with pytest.raises(ValueError):
         GroupParams(3)
-    with pytest.raises(ValueError):
-        GroupParams(101, h=0)
-    with pytest.raises(ValueError):
-        GroupParams(101, width=0)
 
 
 def test_generators(p101):

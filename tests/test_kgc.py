@@ -1,4 +1,4 @@
-"""Key generation center: setup, extraction, registry, capability gate."""
+"""Key generation center: setup, extraction, capability gate."""
 
 import random
 
@@ -31,7 +31,6 @@ def test_extract_idempotent():
     kgc = make_kgc()
     first = kgc.extract("alice")
     assert kgc.extract("alice") is first
-    assert kgc.registered_identities() == ["alice"]
 
 
 def test_extract_consistency_with_master_key():
@@ -39,10 +38,10 @@ def test_extract_consistency_with_master_key():
     alpha = kgc.reveal_master_key()
     for name in ("alice", "bob", "eve"):
         keys = kgc.extract(name)
-        assert keys.public_key == hash_to_group(kgc.params.group, name)
+        assert keys.public_key == hash_to_group(kgc.params, name)
         assert dlog(keys.private_key) == dlog(keys.public_key) * alpha % 1_000_003
         # pairing-consistency without touching alpha's representation
-        g = kgc.params.group.g
+        g = kgc.params.g
         assert pair(keys.private_key, g) == pair(keys.public_key, g) ** alpha
 
 
@@ -54,34 +53,12 @@ def test_adversary_extraction_is_unrestricted():
     assert eve.private_key == eve.public_key ** make_kgc(master_key_reveal=True).reveal_master_key()
 
 
-def test_registry_order_and_dedup():
-    kgc = make_kgc()
-    for name in ("carol", "alice", "carol", "bob"):
-        kgc.extract(name)
-    assert kgc.registered_identities() == ["carol", "alice", "bob"]
-
-
-def test_fresh_kgc_has_empty_registry():
-    assert make_kgc().registered_identities() == []
-
-
 def test_reveal_gate():
     with pytest.raises(CapabilityError):
         make_kgc().reveal_master_key()
     assert isinstance(make_kgc(master_key_reveal=True).reveal_master_key(), int)
 
 
-def test_export_state_hides_master_key():
-    closed = make_kgc()
-    closed.extract("alice")
-    state = closed.export_state()
-    assert state["registered_identities"] == ["alice"]
-    assert "master_key" not in state
-
-    open_kgc = make_kgc(master_key_reveal=True)
-    assert open_kgc.export_state()["master_key"] == str(open_kgc.reveal_master_key())
-
-
 def test_default_group_is_the_big_prime():
     kgc = KGC(random.Random(0))
-    assert kgc.params.group.q == 1_000_003
+    assert kgc.params.q == 1_000_003

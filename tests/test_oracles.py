@@ -168,19 +168,6 @@ def test_oracles_reject_mixed_groups(p101, big):
         bound_scalar("a", "b", big.g**2, p101.g**3)
 
 
-def test_non_256_bit_digest_rejected(big):
-    with pytest.raises(ValueError):
-        hash_to_group(big, "alice", digest="sha512")
-    with pytest.raises(ValueError):
-        derive_key_plain(big.gt**5, digest="md5")
-
-
-def test_alternate_256_bit_digest_changes_everything(big):
-    """sha3_256 is a legal digest choice and disagrees with sha256."""
-    assert hash_to_group(big, "alice", digest="sha3_256") != hash_to_group(big, "alice")
-    assert derive_key_plain(big.gt**5, digest="sha3_256") != derive_key_plain(big.gt**5)
-
-
 def test_key_digest_is_stable_hex():
     d = key_digest(b"\x00" * 32)
     assert d == hashlib.sha256(b"\x00" * 32).hexdigest()

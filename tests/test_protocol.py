@@ -119,17 +119,17 @@ def test_sigma_equals_master_key_form(variant):
     to h * master: recomputing the key that way reproduces it exactly."""
     for seed in range(25):
         kgc, a_sess, b_sess, key_a, _ = handshake(variant, seed)
-        group = kgc.params.group
+        group = kgc.params
         alpha = kgc.reveal_master_key()
         r_a, r_b = a_sess.r_out, b_sess.r_out
         alice = kgc.extract("alice")
         bob = kgc.extract("bob")
-        s_init, s_resp = session_scalars(variant, "alice", "bob", r_a, r_b, kgc.params.digest)
+        s_init, s_resp = session_scalars(variant, "alice", "bob", r_a, r_b)
         shared = pair(bob.public_key**s_resp * r_b, r_a * alice.public_key**s_init) ** (
             group.h * alpha
         )
         assert (
-            derive_session_key(variant, "alice", "bob", r_a, r_b, shared, kgc.params.digest)
+            derive_session_key(variant, "alice", "bob", r_a, r_b, shared)
             == key_a
         )
 
@@ -158,7 +158,7 @@ def test_original_ignores_believed_peer_only_in_scalars():
     alice = kgc.extract("alice")
     a1, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, variant, rng)
     a2 = type(a1)(a1.owner, "carol", a1.role, a1.variant, a1.x, a1.r_out)
-    r_b = kgc.params.group.g**77
+    r_b = kgc.params.g**77
     assert complete_session(a1, r_b, alice, kgc.params) != complete_session(
         a2, r_b, alice, kgc.params
     )
@@ -170,9 +170,9 @@ def test_complete_rejects_identity_element():
     alice = kgc.extract("alice")
     session, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
     with pytest.raises(InvalidElementError):
-        complete_session(session, kgc.params.group.g**0, alice, kgc.params)
+        complete_session(session, kgc.params.g**0, alice, kgc.params)
     assert session.status is Status.ACTIVE  # rejected input leaves it usable
-    complete_session(session, kgc.params.group.g**3, alice, kgc.params)
+    complete_session(session, kgc.params.g**3, alice, kgc.params)
     assert session.status is Status.ACCEPTED
 
 
@@ -184,7 +184,7 @@ def test_complete_rejects_foreign_group():
     with pytest.raises(GroupMismatchError):
         complete_session(session, GroupParams(101).g**3, alice, kgc.params)
     with pytest.raises(InvalidElementError):
-        complete_session(session, kgc.params.group.gt**3, alice, kgc.params)
+        complete_session(session, kgc.params.gt**3, alice, kgc.params)
     assert session.status is Status.ACTIVE
 
 
@@ -193,7 +193,7 @@ def test_complete_twice_fails():
     rng = random.Random(0)
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     with pytest.raises(SessionStateError):
-        complete_session(a_sess, kgc.params.group.g**5, kgc.extract("alice"), kgc.params)
+        complete_session(a_sess, kgc.params.g**5, kgc.extract("alice"), kgc.params)
 
 
 def test_complete_requires_owner_keys():
@@ -203,7 +203,7 @@ def test_complete_requires_owner_keys():
     bob = kgc.extract("bob")
     session, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
     with pytest.raises(ValueError):
-        complete_session(session, kgc.params.group.g**5, bob, kgc.params)
+        complete_session(session, kgc.params.g**5, bob, kgc.params)
 
 
 def test_session_id_and_matching():
@@ -250,7 +250,7 @@ def test_tampered_transcripts_do_not_match():
     a_sess, r_a = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
     b_sess, r_b = start_session(kgc.params, bob, "alice", Role.RESPONDER, Variant.HARDENED, rng)
     complete_session(b_sess, r_a, bob, kgc.params)
-    complete_session(a_sess, r_b * kgc.params.group.g, alice, kgc.params)
+    complete_session(a_sess, r_b * kgc.params.g, alice, kgc.params)
     assert not sessions_match(session_id(a_sess), session_id(b_sess))
 
 
