@@ -35,6 +35,7 @@ from .ecksim import (
     run_key_reveal_violator,
     run_random_guess_adversary,
 )
+from .errors import ParameterError
 from .group import (
     DEFAULT_Q,
     GElem,
@@ -86,6 +87,7 @@ __all__ = [
     "KEY_BYTES",
     "KGC",
     "Outcome",
+    "ParameterError",
     "PartyRecord",
     "QueryKind",
     "QueryRecord",

@@ -5,7 +5,12 @@ The adversary owns the wire. Sessions only ever complete through
 `deliver` returns nothing: keys stay inside the world unless a reveal
 query exposes them. Reveal queries (ephemeral scalar, long-term key,
 session key, extraction of fresh identities) are appended to a query
-log; the freshness rule is a pure function of that log.
+log; the freshness rule is a pure function of that log and of which
+sessions accepted over which transcripts. `World` keeps three indexes in
+step with that state, so a verdict costs a few lookups however many
+sessions and queries there are: the accepted sessions by `SessionId`,
+updated in `deliver`, and the revealed sessions and the corrupted
+identities, updated in `_record`, the one place the log grows.
 
 Freshness of a completed session sid with owner A and intended peer B,
 writing sid* for its matching session when one exists, fails exactly
@@ -40,11 +45,12 @@ from .oracles import KEY_BYTES
 from .protocol import (
     Role,
     Session,
+    SessionId,
     Status,
     Variant,
     complete_session,
+    partner_id,
     session_id,
-    sessions_match,
     start_session,
 )
 
@@ -108,6 +114,10 @@ class World:
         self.kgc = KGC(self.rng, GroupParams(q), master_key_reveal=master_key_reveal)
         self.params: GroupParams = self.kgc.params
         self.log: list[QueryRecord] = []
+        # indexes over self.log (_record) and the accepted sessions (deliver)
+        self._session_reveals: set[tuple[QueryKind, int]] = set()
+        self._corrupted: set[str] = set()
+        self._accepted: dict[SessionId, int] = {}
         self._parties: dict[str, IdentityKey] = {}
         self._sessions: dict[int, Session] = {}
         self._next_handle = 1
@@ -137,23 +147,31 @@ class World:
         session completes (or rejects); nothing is returned."""
         session = self.session(handle)
         complete_session(session, element, self._party_keys(session.owner), self.params)
+        sid = session_id(session)
+        # sessions may accept out of creation order; the smallest handle wins
+        if self._accepted.setdefault(sid, handle) > handle:
+            self._accepted[sid] = handle
 
     def matching_session(self, handle: int) -> int | None:
-        """Handle of the first accepted session (creation order) matching
-        crosswise, or None."""
-        own = session_id(self.session(handle))
-        for other_handle, other in self._sessions.items():
-            if other_handle == handle or other.status is not Status.ACCEPTED:
-                continue
-            if sessions_match(own, session_id(other)):
-                return other_handle
-        return None
+        """Handle of the accepted session matching crosswise, or None.
+        When several accepted sessions share the partner's id (replayed
+        transcripts), the smallest handle, the first created, wins."""
+        return self._accepted.get(partner_id(session_id(self.session(handle))))
 
     def session(self, handle: int) -> Session:
         try:
             return self._sessions[handle]
         except KeyError:
             raise QueryError(f"unknown session handle {handle}") from None
+
+    def _record(self, record: QueryRecord) -> None:
+        """Append to the query log and keep the freshness indexes in step."""
+        self.log.append(record)
+        if record.session is not None:
+            self._session_reveals.add((record.kind, record.session))
+        # only PrivateKeyReveal and Extract records carry an identity
+        if record.identity is not None:
+            self._corrupted.add(record.identity)
 
     def _party_keys(self, identity: str) -> IdentityKey:
         try:
@@ -166,7 +184,7 @@ class World:
     def eph_reveal(self, handle: int) -> int:
         """Reveal a session's ephemeral scalar."""
         session = self.session(handle)
-        self.log.append(QueryRecord(QueryKind.EPHEMERAL_KEY_REVEAL, session=handle))
+        self._record(QueryRecord(QueryKind.EPHEMERAL_KEY_REVEAL, session=handle))
         return session.x
 
     def key_reveal(self, handle: int) -> bytes:
@@ -174,13 +192,13 @@ class World:
         session = self.session(handle)
         if session.status is not Status.ACCEPTED:
             raise SessionStateError("session key exists only after acceptance")
-        self.log.append(QueryRecord(QueryKind.SESSION_KEY_REVEAL, session=handle))
+        self._record(QueryRecord(QueryKind.SESSION_KEY_REVEAL, session=handle))
         return session.key
 
     def private_reveal(self, identity: str) -> IdentityKey:
         """Reveal a registered party's long-term key material."""
         keys = self._party_keys(identity)
-        self.log.append(QueryRecord(QueryKind.PRIVATE_KEY_REVEAL, identity=identity))
+        self._record(QueryRecord(QueryKind.PRIVATE_KEY_REVEAL, identity=identity))
         return keys
 
     def adv_extract(self, identity: str) -> IdentityKey:
@@ -190,7 +208,7 @@ class World:
         if identity in self._parties:
             raise QueryError(f"{identity!r} is already a registered party")
         keys = self.kgc.extract(identity)
-        self.log.append(QueryRecord(QueryKind.EXTRACT, identity=identity))
+        self._record(QueryRecord(QueryKind.EXTRACT, identity=identity))
         return keys
 
     # -- freshness ----------------------------------------------------------
@@ -204,23 +222,14 @@ class World:
             raise SessionStateError("freshness is defined only for accepted sessions")
         star = self.matching_session(handle)
         matched = star is not None
+        revealed, corrupted = self._session_reveals, self._corrupted
+        session_key, ephemeral = QueryKind.SESSION_KEY_REVEAL, QueryKind.EPHEMERAL_KEY_REVEAL
 
-        def revealed(kind: QueryKind, target: int) -> bool:
-            return any(r.kind is kind and r.session == target for r in self.log)
-
-        def corrupted(identity: str) -> bool:
-            # only PrivateKeyReveal and Extract records carry an identity
-            return any(r.identity == identity for r in self.log)
-
-        if revealed(QueryKind.SESSION_KEY_REVEAL, handle) or (
-            matched and revealed(QueryKind.SESSION_KEY_REVEAL, star)
-        ):
+        if (session_key, handle) in revealed or (matched and (session_key, star) in revealed):
             return FreshnessVerdict(False, "1")
-        if corrupted(session.owner) and revealed(QueryKind.EPHEMERAL_KEY_REVEAL, handle):
+        if session.owner in corrupted and (ephemeral, handle) in revealed:
             return FreshnessVerdict(False, "2a" if matched else "3a")
-        if corrupted(session.peer) and (
-            not matched or revealed(QueryKind.EPHEMERAL_KEY_REVEAL, star)
-        ):
+        if session.peer in corrupted and (not matched or (ephemeral, star) in revealed):
             return FreshnessVerdict(False, "2b" if matched else "3b")
         return FreshnessVerdict(True)
 
@@ -236,7 +245,7 @@ class World:
             raise SessionStateError("only an accepted session can be tested")
         self._test_handle = handle
         self._test_bit = self.rng.getrandbits(1)
-        self.log.append(QueryRecord(QueryKind.TEST, session=handle))
+        self._record(QueryRecord(QueryKind.TEST, session=handle))
         if self._test_bit == 0:
             return session.key
         return self.rng.randbytes(KEY_BYTES)
@@ -252,7 +261,7 @@ class World:
         if bit not in (0, 1):
             raise QueryError("guess bit must be 0 or 1")
         self._guess_bit = bit
-        self.log.append(QueryRecord(QueryKind.GUESS, bit=bit))
+        self._record(QueryRecord(QueryKind.GUESS, bit=bit))
         verdict = self.is_fresh(self._test_handle)
         if not verdict.fresh:
             self._outcome = Outcome.INVALID

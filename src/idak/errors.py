@@ -21,6 +21,11 @@ class InvalidElementError(IdakError):
     """A received protocol message is not an acceptable group element."""
 
 
+class ParameterError(IdakError, ValueError):
+    """A parameter is out of range: a group order that is not a usable
+    prime, or key material that belongs to another party."""
+
+
 class SessionStateError(IdakError):
     """The session is not in the state this operation requires."""
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .errors import DecodeError, GroupMismatchError
+from .errors import DecodeError, GroupMismatchError, ParameterError
 
 DEFAULT_Q = 1_000_003  # smallest prime above 10**6; keeps exponents cheap to audit
 
@@ -56,9 +56,9 @@ class GroupParams:
 
     def __post_init__(self) -> None:
         if self.q <= 3 or not is_prime(self.q):
-            raise ValueError(f"group order must be a prime above 3, got {self.q}")
+            raise ParameterError(f"group order must be a prime above 3, got {self.q}")
         if self.q > 1 << (8 * self.width):
-            raise ValueError("group order does not fit the encoding width")
+            raise ParameterError("group order does not fit the encoding width")
 
     @property
     def g(self) -> GElem:

@@ -30,6 +30,7 @@ from .errors import (
     EmptyIdentityError,
     GroupMismatchError,
     InvalidElementError,
+    ParameterError,
     SessionStateError,
 )
 from .group import GElem, GroupParams, GTElem, pair, random_scalar
@@ -83,6 +84,12 @@ class SessionId:
     peer: str
     role: Role
     transcript: tuple[GElem, GElem]
+
+    def __hash__(self) -> int:
+        # agrees with the generated __eq__; hashing plain values skips the
+        # Python-level hashes of Role and of the elements and their params
+        r_init, r_resp = self.transcript
+        return hash((self.owner, self.peer, self.role is Role.INITIATOR, r_init.exp, r_resp.exp))
 
     def to_json(self) -> dict:
         return {
@@ -160,7 +167,7 @@ def complete_session(
     if session.status is not Status.ACTIVE:
         raise SessionStateError("session has already accepted")
     if keys.identity != session.owner:
-        raise ValueError("key material does not belong to the session owner")
+        raise ParameterError("key material does not belong to the session owner")
     if not isinstance(r_in, GElem):
         raise InvalidElementError("incoming message is not a source-group element")
     if r_in.params != params:
@@ -194,15 +201,17 @@ def session_id(session: Session) -> SessionId:
     return SessionId(session.owner, session.peer, session.role, transcript)
 
 
+def partner_id(sid: SessionId) -> SessionId:
+    """The SessionId of a session matching sid: owner and peer swapped,
+    the complementary role, the same ordered transcript."""
+    role = Role.RESPONDER if sid.role is Role.INITIATOR else Role.INITIATOR
+    return SessionId(sid.peer, sid.owner, role, sid.transcript)
+
+
 def sessions_match(a: SessionId, b: SessionId) -> bool:
     """Crosswise match: each names the other as peer, the roles are
     complementary, and both saw the same ordered transcript."""
-    return (
-        a.owner == b.peer
-        and b.owner == a.peer
-        and a.role is not b.role
-        and a.transcript == b.transcript
-    )
+    return partner_id(a) == b
 
 
 def transcript_record(initiator: Session, responder: Session) -> dict:

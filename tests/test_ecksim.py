@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idak import (
+    FreshnessVerdict,
     GroupParams,
     Outcome,
+    QueryKind,
     Role,
     Status,
     Variant,
@@ -20,8 +22,11 @@ from idak import (
     run_honest_exchange,
     run_key_reveal_violator,
     run_random_guess_adversary,
+    session_id,
+    sessions_match,
     start_session,
 )
+from idak import ecksim
 from idak.errors import IdakError, QueryError, SessionStateError
 
 from conftest import reference_freshness
@@ -187,9 +192,11 @@ def test_truth_table_on_small_groups(q, seed, variant):
     assert_rows_match_reference(rows)
 
 
-def test_matching_tiebreak_on_replayed_transcripts():
+@pytest.mark.parametrize("later_accepts_first", [False, True], ids=["in-order", "later-first"])
+def test_matching_tiebreak_on_replayed_transcripts(later_accepts_first):
     """At q=101 ephemeral collisions are easy to farm: when two accepted
-    sessions share a transcript, the first in creation order wins."""
+    sessions share a transcript, the first in creation order wins, also
+    when the later-created duplicate accepts first."""
     world = World(1, Variant.HARDENED, 101)
     world.add_party("alice")
     world.add_party("bob")
@@ -204,8 +211,8 @@ def test_matching_tiebreak_on_replayed_transcripts():
         seen[r_out] = handle
     assert duplicate is not None
     first, second = duplicate
-    world.deliver(first, r_init)
-    world.deliver(second, r_init)
+    for handle in (second, first) if later_accepts_first else (first, second):
+        world.deliver(handle, r_init)
     world.deliver(h_init, world.session(first).r_out)
     assert world.matching_session(h_init) == first
 
@@ -407,3 +414,63 @@ def test_fuzzed_query_sequences(q, seed, variant, queries):
         except IdakError:
             pass
     world.experiment_report("fuzz")
+    for handle in range(1, len(outgoing) + 1):
+        if world.session(handle).status is Status.ACCEPTED:
+            star = scan_matching_session(world, handle, len(outgoing))
+            assert world.matching_session(handle) == star
+            fresh, clause = reference_freshness(star is not None, log_atoms(world, handle, star))
+            assert world.is_fresh(handle) == FreshnessVerdict(fresh, clause)
+
+
+def scan_matching_session(world, handle, count):
+    """Reference for matching_session: scan the count sessions in creation
+    order for the first accepted one that matches crosswise."""
+    own = session_id(world.session(handle))
+    for other in range(1, count + 1):
+        session = world.session(other)
+        if other != handle and session.status is Status.ACCEPTED:
+            if sessions_match(own, session_id(session)):
+                return other
+    return None
+
+
+def log_atoms(world, handle, star):
+    """The freshness atoms of session handle, read by scanning the query log;
+    an Extract record corrupts its identity as a PrivateKeyReveal does."""
+    session = world.session(handle)
+
+    def revealed(kind, target):
+        return target is not None and any(r.kind is kind and r.session == target for r in world.log)
+
+    def corrupted(identity):
+        return any(
+            r.kind in (QueryKind.PRIVATE_KEY_REVEAL, QueryKind.EXTRACT) and r.identity == identity
+            for r in world.log
+        )
+
+    atoms = {
+        "SessionKeyReveal(sid)": revealed(QueryKind.SESSION_KEY_REVEAL, handle),
+        "SessionKeyReveal(sid*)": revealed(QueryKind.SESSION_KEY_REVEAL, star),
+        "PrivateKeyReveal(owner)": corrupted(session.owner),
+        "PrivateKeyReveal(peer)": corrupted(session.peer),
+        "EphemeralKeyReveal(sid)": revealed(QueryKind.EPHEMERAL_KEY_REVEAL, handle),
+        "EphemeralKeyReveal(sid*)": revealed(QueryKind.EPHEMERAL_KEY_REVEAL, star),
+    }
+    return {atom for atom, holds in atoms.items() if holds}
+
+
+def test_is_fresh_cost_does_not_grow_with_sessions(monkeypatch):
+    """is_fresh on the newest session makes as many session_id calls in a
+    world of 1000 honest exchanges as in one of 10."""
+    real = ecksim.session_id
+    calls = []
+    monkeypatch.setattr(ecksim, "session_id", lambda session: calls.append(1) or real(session))
+    counts = []
+    for exchanges in (10, 1000):
+        world = make_world()
+        for _ in range(exchanges):
+            _, newest = run_honest_exchange(world, "alice", "bob")
+        calls.clear()
+        assert world.is_fresh(newest).fresh
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idak import DEFAULT_Q, GElem, GroupParams, GTElem, dbdh_check, dlog, pair, random_scalar
-from idak.errors import DecodeError, GroupMismatchError
+from idak import (
+    DEFAULT_Q,
+    GElem,
+    GroupParams,
+    GTElem,
+    ParameterError,
+    dbdh_check,
+    dlog,
+    pair,
+    random_scalar,
+)
+from idak.errors import DecodeError, GroupMismatchError, IdakError
 from idak.group import is_prime
 
 exponents = st.integers(min_value=0, max_value=100)
@@ -25,10 +35,15 @@ def test_is_prime_known_values(n, expected):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         GroupParams(100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         GroupParams(3)
+    with pytest.raises(ParameterError):
+        GroupParams(2**64 + 13)  # prime, but wider than the 8-byte encoding
+    # inside the package's hierarchy, and still caught by `except ValueError`
+    assert issubclass(ParameterError, IdakError)
+    assert issubclass(ParameterError, ValueError)
 
 
 def test_generators(p101):

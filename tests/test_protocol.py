@@ -26,6 +26,7 @@ from idak.errors import (
     EmptyIdentityError,
     GroupMismatchError,
     InvalidElementError,
+    ParameterError,
     SessionStateError,
 )
 
@@ -202,7 +203,7 @@ def test_complete_requires_owner_keys():
     alice = kgc.extract("alice")
     bob = kgc.extract("bob")
     session, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         complete_session(session, kgc.params.g**5, bob, kgc.params)
 
 
