@@ -6,6 +6,12 @@ the exponent e, the pairing multiplies exponents mod q, and the discrete
 logarithm is therefore available for free as a test oracle (`dlog`).
 Bilinearity, symmetry and non-degeneracy hold exactly; hardness is
 deliberately absent, which is what makes the attack harness checkable.
+
+Each group order is validated once per process: `GroupParams` keeps the
+orders that passed its full check and skips Miller-Rabin for them after.
+Elements are slotted frozen dataclasses. Group operations reduce their
+exponent once and build the result without rerunning the public
+constructor's checks.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ from .errors import DecodeError, GroupMismatchError, ParameterError
 DEFAULT_Q = 1_000_003  # smallest prime above 10**6; keeps exponents cheap to audit
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# orders that passed GroupParams' full check; a failed check adds nothing
+_validated_orders: set[int] = set()
 
 
 def is_prime(n: int) -> bool:
@@ -55,10 +64,16 @@ class GroupParams:
     width: ClassVar[int] = 8
 
     def __post_init__(self) -> None:
+        # checked first: 1000003.0 would otherwise be found in the int set
+        if type(self.q) is not int:
+            raise ParameterError(f"group order must be an int, not {type(self.q).__name__}")
+        if self.q in _validated_orders:
+            return
         if self.q <= 3 or not is_prime(self.q):
             raise ParameterError(f"group order must be a prime above 3, got {self.q}")
         if self.q > 1 << (8 * self.width):
             raise ParameterError("group order does not fit the encoding width")
+        _validated_orders.add(self.q)
 
     @property
     def g(self) -> GElem:
@@ -75,30 +90,49 @@ class GroupParams:
         return {"q": str(self.q), "h": str(self.h), "width": str(self.width)}
 
 
-@dataclass(frozen=True)
+def same_params(a: GroupParams, b: GroupParams) -> bool:
+    """Whether two parameter sets describe one group: the same object, or equal."""
+    return a is b or a == b
+
+
+def _require_int(exp: object) -> None:
+    if not isinstance(exp, int):
+        raise TypeError(f"exponent must be an int, not {type(exp).__name__}")
+
+
+@dataclass(frozen=True, slots=True)
 class _Elem:
     params: GroupParams
     exp: int
 
     def __post_init__(self) -> None:
+        _require_int(self.exp)
         object.__setattr__(self, "exp", self.exp % self.params.q)
+
+    @classmethod
+    def _reduced(cls, params: GroupParams, exp: int):
+        """Build from an int exponent already in [0, q), skipping the
+        public constructor's check and reduction."""
+        elem = _new(cls)
+        _set_params(elem, params)
+        _set_exp(elem, exp)
+        return elem
 
     def _require_same_group(self, other: _Elem) -> None:
         if self.__class__ is not other.__class__:
             raise TypeError(
                 f"cannot combine {self.__class__.__name__} with {other.__class__.__name__}"
             )
-        if self.params != other.params:
+        if not same_params(self.params, other.params):
             raise GroupMismatchError("elements belong to different group instantiations")
 
     def __mul__(self, other: _Elem) -> _Elem:
         self._require_same_group(other)
-        return self.__class__(self.params, self.exp + other.exp)
+        return self._reduced(self.params, (self.exp + other.exp) % self.params.q)
 
     def __pow__(self, scalar: int) -> _Elem:
-        if not isinstance(scalar, int):
-            raise TypeError(f"exponent must be an int, not {type(scalar).__name__}")
-        return self.__class__(self.params, self.exp * scalar)
+        _require_int(scalar)
+        return self._reduced(self.params, self.exp * scalar % self.params.q)
 
     @property
     def is_identity(self) -> bool:
@@ -122,12 +156,22 @@ class _Elem:
         return cls(params, value)
 
 
+# slot setters, bound once: _Elem._reduced is on every group operation's path
+_new = object.__new__
+_set_params = _Elem.params.__set__
+_set_exp = _Elem.exp.__set__
+
+
 class GElem(_Elem):
     """Element of the source group G, stored as its exponent."""
+
+    __slots__ = ()
 
 
 class GTElem(_Elem):
     """Element of the target group GT, stored as its exponent."""
+
+    __slots__ = ()
 
 
 def pair(a: GElem, b: GElem) -> GTElem:
@@ -135,9 +179,9 @@ def pair(a: GElem, b: GElem) -> GTElem:
     exponents mod q, so pair(g^x, g^y) = gt^(x*y) by construction."""
     if not isinstance(a, GElem) or not isinstance(b, GElem):
         raise TypeError("pair expects two source-group elements")
-    if a.params != b.params:
+    if not same_params(a.params, b.params):
         raise GroupMismatchError("pairing operands from different group instantiations")
-    return GTElem(a.params, a.exp * b.exp)
+    return GTElem._reduced(a.params, a.exp * b.exp % a.params.q)
 
 
 def random_scalar(rng: random.Random, params: GroupParams) -> int:
@@ -158,9 +202,9 @@ def dbdh_check(x_elem: GElem, y_elem: GElem, z_elem: GElem, candidate: GTElem) -
     the point of the toy backend: tests can tell real keys from random.
     """
     for e in (y_elem, z_elem):
-        if x_elem.params != e.params:
+        if not same_params(x_elem.params, e.params):
             raise GroupMismatchError("mixed group instantiations in decision check")
-    if x_elem.params != candidate.params:
+    if not same_params(x_elem.params, candidate.params):
         raise GroupMismatchError("candidate from a different group instantiation")
     q = x_elem.params.q
     return candidate.exp == x_elem.exp * y_elem.exp % q * z_elem.exp % q

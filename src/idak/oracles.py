@@ -13,14 +13,19 @@ agree on any input:
 Identity strings are UTF-8 encoded and framed with a 4-byte big-endian
 length prefix wherever two of them meet, keeping the encoding injective.
 Scalars come out as 1 + (digest mod (q-1)) and therefore never hit zero.
+
+The H1G exponent of each (identity, q) and the framing of each identity
+are memoised in bounded LRU caches of _MEMO_SIZE entries, so a party's
+identity point is hashed once however many sessions it completes.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 from .errors import EmptyIdentityError, GroupMismatchError
-from .group import GElem, GroupParams, GTElem
+from .group import GElem, GroupParams, GTElem, same_params
 
 DIGEST = "sha256"  # the hash in _digest, named in the handshake JSON
 KEY_BYTES = 32
@@ -30,6 +35,8 @@ _TAG_SCALAR_PLAIN = b"PI0"
 _TAG_SCALAR_BOUND = b"PI1"
 _TAG_KDF_BOUND = b"KDF"
 _TAG_KDF_PLAIN = b"KDF0"
+
+_MEMO_SIZE = 1024  # entries per identity cache; a miss only costs one more hash
 
 
 def _digest(data: bytes) -> bytes:
@@ -42,6 +49,7 @@ def _identity_bytes(identity: str) -> bytes:
     return identity.encode("utf-8")
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _frame(identity: str) -> bytes:
     raw = _identity_bytes(identity)
     return len(raw).to_bytes(4, "big") + raw
@@ -51,14 +59,18 @@ def _to_scalar(digest_bytes: bytes, q: int) -> int:
     return 1 + int.from_bytes(digest_bytes, "big") % (q - 1)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _identity_exponent(identity: str, q: int) -> int:
+    return _to_scalar(_digest(_TAG_HASH_TO_GROUP + _identity_bytes(identity)), q)
+
+
 def hash_to_group(group: GroupParams, identity: str) -> GElem:
     """Map an identity to g^(1 + (D(tag || id) mod (q-1))), never the identity element."""
-    e = _to_scalar(_digest(_TAG_HASH_TO_GROUP + _identity_bytes(identity)), group.q)
-    return GElem(group, e)
+    return GElem._reduced(group, _identity_exponent(identity, group.q))
 
 
 def _same_group(r_first: GElem, r_second: GElem) -> GroupParams:
-    if r_first.params != r_second.params:
+    if not same_params(r_first.params, r_second.params):
         raise GroupMismatchError("transcript elements from different group instantiations")
     return r_first.params
 

@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     SessionStateError,
 )
-from .group import GElem, GroupParams, GTElem, pair, random_scalar
+from .group import GElem, GroupParams, GTElem, pair, random_scalar, same_params
 from .kgc import IdentityKey
 from .oracles import (
     bound_scalar,
@@ -170,7 +170,7 @@ def complete_session(
         raise ParameterError("key material does not belong to the session owner")
     if not isinstance(r_in, GElem):
         raise InvalidElementError("incoming message is not a source-group element")
-    if r_in.params != params:
+    if not same_params(r_in.params, params):
         raise GroupMismatchError("incoming element from a different group instantiation")
     if r_in.is_identity:
         raise InvalidElementError("identity element rejected as an exchange message")

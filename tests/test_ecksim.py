@@ -26,7 +26,7 @@ from idak import (
     sessions_match,
     start_session,
 )
-from idak import ecksim
+from idak import ecksim, group, oracles
 from idak.errors import IdakError, QueryError, SessionStateError
 
 from conftest import reference_freshness
@@ -349,7 +349,7 @@ _KINDS = (
     + ("deliver",) * 3
     + ("eph_reveal", "private_reveal") * 3
     + ("test", "guess") * 2
-    + ("key_reveal", "adv_extract", "is_fresh", "matching_session")
+    + ("key_reveal", "adv_extract", "is_fresh", "matching_session", "eve_peer")
 )
 _NAMES = ("alice", "bob", "eve", "")
 # every query draws all arguments and its kind reads the ones it takes; a
@@ -391,7 +391,9 @@ def _element(world, outgoing, kind, k):
 def test_fuzzed_query_sequences(q, seed, variant, queries):
     """Any query sequence fails only with IdakError, and guess is invalid
     exactly when the test session is not fresh. Each world starts with one
-    honest exchange, so test and guess have an accepted session to use."""
+    honest exchange, so test and guess have an accepted session to use. An
+    eve_peer draw accepts a session of bob's with peer eve and then extracts
+    eve, so the sequence holds a session whose peer the adversary owns."""
     world = make_world(seed, variant, q)
     outgoing = [world.session(h).r_out for h in run_honest_exchange(world, "alice", "bob")]
     test_handle = None
@@ -404,6 +406,11 @@ def test_fuzzed_query_sequences(q, seed, variant, queries):
                 world.deliver(handle, _element(world, outgoing, element, e))
             elif kind in ("private_reveal", "adv_extract"):
                 getattr(world, kind)(name)
+            elif kind == "eve_peer":
+                eve_handle, r_out = world.activate("bob", "eve", role)
+                outgoing.append(r_out)
+                world.deliver(eve_handle, world.params.g ** (1 + e % (q - 1)))
+                world.adv_extract("eve")
             elif kind == "guess":
                 outcome = world.guess(e % 3)
                 assert (outcome is Outcome.INVALID) == (not world.is_fresh(test_handle).fresh)
@@ -474,3 +481,30 @@ def test_is_fresh_cost_does_not_grow_with_sessions(monkeypatch):
         assert world.is_fresh(newest).fresh
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_second_world_skips_order_validation(monkeypatch):
+    """Only the first World at an order runs the primality test."""
+    monkeypatch.setattr(group, "_validated_orders", set())
+    real = group.is_prime
+    calls = []
+    monkeypatch.setattr(group, "is_prime", lambda n: calls.append(n) or real(n))
+    World(0, q=1009)
+    assert calls == [1009]
+    World(1, q=1009)
+    World(2, Variant.ORIGINAL, q=1009)
+    assert calls == [1009]
+
+
+@pytest.mark.parametrize("variant", [Variant.ORIGINAL, Variant.HARDENED])
+def test_honest_exchange_hashes_no_identity(monkeypatch, variant):
+    """Once the parties' identity points are known, an honest exchange runs
+    sha256 six times: two scalars and one key per side."""
+    world = make_world(variant=variant)
+    run_honest_exchange(world, "alice", "bob")
+    real = oracles._digest
+    calls = []
+    monkeypatch.setattr(oracles, "_digest", lambda data: calls.append(data) or real(data))
+    run_honest_exchange(world, "alice", "bob")
+    assert len(calls) == 6
+    assert not any(data.startswith(b"H1G") for data in calls)

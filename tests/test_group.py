@@ -1,5 +1,6 @@
 """Group laws, pairing properties, serialization, and the toy oracles."""
 
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from idak import (
     pair,
     random_scalar,
 )
+from idak import group
 from idak.errors import DecodeError, GroupMismatchError, IdakError
 from idak.group import is_prime
 
@@ -44,6 +46,31 @@ def test_params_validation():
     # inside the package's hierarchy, and still caught by `except ValueError`
     assert issubclass(ParameterError, IdakError)
     assert issubclass(ParameterError, ValueError)
+
+
+@pytest.mark.parametrize("validated_first", [False, True], ids=["cold", "after-valid"])
+def test_non_int_order_rejected(monkeypatch, validated_first):
+    """A non-int order fails with ParameterError, and stays rejected once an
+    equal int order has passed validation in the same process."""
+    monkeypatch.setattr(group, "_validated_orders", set())
+    if validated_first:
+        GroupParams(DEFAULT_Q)
+    for q in (float(DEFAULT_Q), str(DEFAULT_Q), "101", None, True):
+        with pytest.raises(ParameterError):
+            GroupParams(q)
+
+
+def test_failed_orders_are_never_cached(monkeypatch):
+    monkeypatch.setattr(group, "_validated_orders", set())
+    calls = []
+    monkeypatch.setattr(group, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for _ in range(3):
+        with pytest.raises(ParameterError):
+            GroupParams(1001)  # 7 * 11 * 13
+    assert calls == [1001] * 3
+    GroupParams(1009)
+    GroupParams(1009)
+    assert calls == [1001] * 3 + [1009]
 
 
 def test_generators(p101):
@@ -114,6 +141,35 @@ def test_non_integer_exponent_rejected(p101, scalar):
         p101.g**scalar
     with pytest.raises(TypeError):
         p101.gt**scalar
+    with pytest.raises(TypeError):
+        GElem(p101, scalar)
+    with pytest.raises(TypeError):
+        GTElem(p101, scalar)
+
+
+@pytest.mark.parametrize("cls", [GElem, GTElem])
+def test_elements_are_frozen_and_slotted(p101, cls):
+    elem = cls(p101, 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        elem.exp = 8
+    assert not hasattr(elem, "__dict__")
+    assert elem.exp == 7
+    assert hash(elem) == hash(cls(p101, 7))
+
+
+@pytest.mark.parametrize("cls", [GElem, GTElem])
+def test_public_constructor_reduces(p101, cls):
+    assert cls(p101, 101 + 5).exp == 5
+    assert cls(p101, -1).exp == 100
+    assert cls(p101, -101 * 3 - 2).exp == 99
+
+
+def test_equal_params_objects_combine():
+    a, b = GroupParams(101), GroupParams(101)
+    assert a is not b
+    assert a.g**2 * b.g**3 == a.g**5
+    assert pair(a.g**2, b.g**3) == b.gt**6
+    assert dbdh_check(a.g**2, b.g**3, a.g**4, b.gt**24)
 
 
 def test_random_scalar_determinism(p101):

@@ -18,6 +18,7 @@ from idak import (
     key_digest,
     transcript_scalar,
 )
+from idak import oracles
 from idak.errors import EmptyIdentityError, GroupMismatchError
 
 from conftest import reference_identity_exponent
@@ -41,6 +42,20 @@ def test_hash_to_group_matches_reference(identity):
     assert dlog(hash_to_group(params, identity)) == reference_identity_exponent(
         identity, DEFAULT_Q
     )
+
+
+def test_hash_to_group_memo_is_keyed_by_order():
+    """Interleaving orders per identity catches a memo keyed by identity alone;
+    the second pass reads every exponent back from the memo."""
+    groups = [GroupParams(q) for q in (101, 1009, DEFAULT_Q)]
+    names = [f"user-{i}" for i in range(200)] + ["alice", "bob", "ève", "李"]
+    for _ in range(2):
+        for identity in names:
+            for params in groups:
+                elem = hash_to_group(params, identity)
+                assert elem.params is params
+                assert dlog(elem) == reference_identity_exponent(identity, params.q)
+    assert oracles._identity_exponent.cache_info().maxsize == oracles._MEMO_SIZE
 
 
 def test_hash_to_group_never_identity(big):

@@ -21,6 +21,7 @@ from idak import (
     sessions_match,
     start_session,
     transcript_record,
+    transcript_scalar,
 )
 from idak.errors import (
     EmptyIdentityError,
@@ -186,6 +187,24 @@ def test_complete_rejects_foreign_group():
         complete_session(session, GroupParams(101).g**3, alice, kgc.params)
     with pytest.raises(InvalidElementError):
         complete_session(session, kgc.params.gt**3, alice, kgc.params)
+    assert session.status is Status.ACTIVE
+
+
+def test_neighbouring_orders_do_not_mix():
+    """Elements of q = 101 and q = 103 never combine, whatever the route."""
+    p101, p103 = GroupParams(101), GroupParams(103)
+    with pytest.raises(GroupMismatchError):
+        p101.g * p103.g
+    with pytest.raises(GroupMismatchError):
+        pair(p101.g, p103.g)
+    with pytest.raises(GroupMismatchError):
+        transcript_scalar(p101.g**2, p103.g**3)
+    rng = random.Random(4)
+    kgc = KGC(rng, p101)
+    alice = kgc.extract("alice")
+    session, _ = start_session(p101, alice, "bob", Role.INITIATOR, Variant.ORIGINAL, rng)
+    with pytest.raises(GroupMismatchError):
+        complete_session(session, p103.g**3, alice, p101)
     assert session.status is Status.ACTIVE
 
 
