@@ -87,12 +87,12 @@ def _transcript_key(
 ) -> bytes:
     """Alice's key with bob over (r_init, r_resp), rebuilt without her private
     key: d_resp and r_resp_alpha are the master-key powers of bob's identity
-    point and of r_resp, so pair(d_resp^s_r * r_resp_alpha, r_init * H(alice)^s_i)^h
+    point and of r_resp, so pair(d_resp^s_r * r_resp_alpha, r_init * H(alice)^s_i)
     is her shared value, and every other input of the derivation is public."""
     variant = world.variant
     s_init, s_resp = session_scalars(variant, "alice", "bob", r_init, r_resp)
     a_base = hash_to_group(world.params, "alice")
-    shared = pair(d_resp**s_resp * r_resp_alpha, r_init * a_base**s_init) ** world.params.h
+    shared = pair(d_resp**s_resp * r_resp_alpha, r_init * a_base**s_init)
     return derive_session_key(variant, "alice", "bob", r_init, r_resp, shared)
 
 
@@ -193,8 +193,8 @@ def run_master_key_break(
 
     A purely observing adversary holding the master secret rebuilds the
     shared pairing value of any honest run from its public transcript:
-    pair(resp_base^s_r * r_resp, r_init * init_base^s_i) raised to h
-    times the master key equals the honest shared value, and the public
+    pair(resp_base^s_r * r_resp, r_init * init_base^s_i) raised to the
+    master key equals the honest shared value, and the public
     transcript supplies everything else the key derivation consumes.
     With master_key_reveal left off, the script refuses to run.
     """

@@ -10,6 +10,7 @@ is data in the JSON, not an exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -91,6 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("eck-batch", help="random-guess calibration batch"), trials=True)
     _add_common(sub.add_parser("freshness-table", help="exhaustive freshness truth table"))
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import: importing the CLI stays cheap, and
+    # every later main call in the process reuses this one parser
+    return build_parser()
 
 
 def _cmd_handshake(args: argparse.Namespace) -> tuple[dict, str]:
@@ -185,8 +193,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     doc, summary = _COMMANDS[args.command](args)
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:

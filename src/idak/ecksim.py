@@ -8,9 +8,13 @@ session key, extraction of fresh identities) are appended to a query
 log; the freshness rule is a pure function of that log and of which
 sessions accepted over which transcripts. `World` keeps three indexes in
 step with that state, so a verdict costs a few lookups however many
-sessions and queries there are: the accepted sessions by `SessionId`,
-updated in `deliver`, and the revealed sessions and the corrupted
-identities, updated in `_record`, the one place the log grows.
+sessions and queries there are: the accepted sessions, updated in
+`deliver`, and the revealed sessions and the corrupted identities,
+updated in `_record`, the one place the log grows. Accepted sessions are
+keyed by `protocol.match_key`, a tuple of plain values, not by
+`SessionId`: a lookup builds no dataclass and runs no Python-level hash.
+Transcript exponents suffice as the key because `complete_session`
+rejects elements of another group before anything is indexed.
 
 Freshness of a completed session sid with owner A and intended peer B,
 writing sid* for its matching session when one exists, fails exactly
@@ -45,11 +49,10 @@ from .oracles import KEY_BYTES
 from .protocol import (
     Role,
     Session,
-    SessionId,
     Status,
     Variant,
     complete_session,
-    partner_id,
+    match_key,
     session_id,
     start_session,
 )
@@ -114,10 +117,11 @@ class World:
         self.kgc = KGC(self.rng, GroupParams(q), master_key_reveal=master_key_reveal)
         self.params: GroupParams = self.kgc.params
         self.log: list[QueryRecord] = []
-        # indexes over self.log (_record) and the accepted sessions (deliver)
+        # indexes over self.log (_record) and the accepted sessions (deliver);
+        # _accepted is keyed by match_key, the plain values SessionId hashes
         self._session_reveals: set[tuple[QueryKind, int]] = set()
         self._corrupted: set[str] = set()
-        self._accepted: dict[SessionId, int] = {}
+        self._accepted: dict[tuple[str, str, bool, int, int], int] = {}
         self._parties: dict[str, IdentityKey] = {}
         self._sessions: dict[int, Session] = {}
         self._next_handle = 1
@@ -147,16 +151,17 @@ class World:
         session completes (or rejects); nothing is returned."""
         session = self.session(handle)
         complete_session(session, element, self._party_keys(session.owner), self.params)
-        sid = session_id(session)
+        key = match_key(session)
         # sessions may accept out of creation order; the smallest handle wins
-        if self._accepted.setdefault(sid, handle) > handle:
-            self._accepted[sid] = handle
+        if self._accepted.setdefault(key, handle) > handle:
+            self._accepted[key] = handle
 
     def matching_session(self, handle: int) -> int | None:
         """Handle of the accepted session matching crosswise, or None.
         When several accepted sessions share the partner's id (replayed
-        transcripts), the smallest handle, the first created, wins."""
-        return self._accepted.get(partner_id(session_id(self.session(handle))))
+        transcripts), the smallest handle, the first created, wins. Raises
+        SessionStateError while the session is still Active."""
+        return self._accepted.get(match_key(self.session(handle), partner=True))
 
     def session(self, handle: int) -> Session:
         try:

@@ -10,14 +10,14 @@ and feeds it through the variant's key derivation:
                identities, always in initiator-first order.
 
 Writing s_i / s_r for the initiator and responder scalars, the initiator
-pairs (peer_base^s_r * r_resp) with private_key^((x + s_i) * h) and the
-responder pairs (peer_base^s_i * r_init) with private_key^((x + s_r) * h).
+pairs (peer_base^s_r * r_resp) with private_key^(x + s_i) and the
+responder pairs (peer_base^s_i * r_init) with private_key^(x + s_r).
 On honest runs both products land on the exponent
 
-    base_init * base_resp * master * h * (x_init + s_i) * (x_resp + s_r)
+    base_init * base_resp * master * (x_init + s_i) * (x_resp + s_r)
 
-so the two sides agree. The co-factor h is applied at exchange time on
-the private-key side; extraction itself never includes it.
+so the two sides agree. The toy group's co-factor h is 1, so no power of
+it appears in the arithmetic.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def complete_session(
     s_init, s_resp = session_scalars(session.variant, id_init, id_resp, r_init, r_resp)
     s_own, s_peer = (s_init, s_resp) if initiator else (s_resp, s_init)
     peer_base = hash_to_group(params, session.peer)
-    shared = pair(peer_base**s_peer * r_in, keys.private_key ** ((session.x + s_own) * params.h))
+    shared = pair(peer_base**s_peer * r_in, keys.private_key ** (session.x + s_own))
     key = derive_session_key(session.variant, id_init, id_resp, r_init, r_resp, shared)
 
     session.r_in = r_in
@@ -199,6 +199,22 @@ def session_id(session: Session) -> SessionId:
     else:
         transcript = (session.r_in, session.r_out)
     return SessionId(session.owner, session.peer, session.role, transcript)
+
+
+def match_key(session: Session, partner: bool = False) -> tuple[str, str, bool, int, int]:
+    """Plain-value key of an accepted session, the tuple SessionId hashes:
+    (owner, peer, is_initiator, exponents of the ordered transcript). With
+    partner set, the key of a session matching it: owner and peer swapped,
+    the other role, the same transcript. Exponents stand for elements only
+    within one group, so keys compare sessions of one World. Raises while
+    the session is still Active."""
+    if session.status is not Status.ACCEPTED:
+        raise SessionStateError("session id is defined only after acceptance")
+    initiator = session.role is Role.INITIATOR
+    r_init, r_resp = (session.r_out, session.r_in) if initiator else (session.r_in, session.r_out)
+    if partner:
+        return (session.peer, session.owner, not initiator, r_init.exp, r_resp.exp)
+    return (session.owner, session.peer, initiator, r_init.exp, r_resp.exp)
 
 
 def partner_id(sid: SessionId) -> SessionId:

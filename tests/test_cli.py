@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from idak import cli
 from idak.cli import main
 
 COMMANDS = [
@@ -20,13 +21,24 @@ COMMANDS = [
 ]
 
 
-def run_cli(*args, check=True):
+def run_cli(*args):
     result = subprocess.run(
         [sys.executable, "-m", "idak", *args], capture_output=True, text=True
     )
-    if check:
-        assert result.returncode == 0, result.stderr
+    assert result.returncode == 0, result.stderr
     return result
+
+
+def run_main(capsys, *args):
+    """One in-process main call: (exit status, stdout)."""
+    status = main(list(args))
+    return status, capsys.readouterr().out
+
+
+def main_json(capsys, *args):
+    status, out = run_main(capsys, *args)
+    assert status == 0
+    return json.loads(out)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
@@ -37,8 +49,8 @@ def test_commands_emit_json_and_summary(argv):
     assert result.stderr.strip()  # human summary goes to stderr
 
 
-def test_handshake_document():
-    doc = json.loads(run_cli("handshake", "--seed", "3").stdout)
+def test_handshake_document(capsys):
+    doc = main_json(capsys, "handshake", "--seed", "3")
     assert doc["group"] == {"q": "1000003", "h": "1", "width": "8"}
     assert doc["digest"] == "sha256"
     assert doc["initiator_accepted"] and doc["responder_accepted"]
@@ -46,41 +58,42 @@ def test_handshake_document():
     assert len(bytes.fromhex(doc["r_initiator"])) == 8
 
 
-def test_uks_document_schema():
-    doc = json.loads(run_cli("uks", "--variant", "original", "--seed", "7").stdout)
+def test_uks_document_schema(capsys):
+    doc = main_json(capsys, "uks", "--variant", "original", "--seed", "7")
     assert doc["attack"] == "uks" and doc["variant"] == "original" and doc["seed"] == 7
     assert [p["id"] for p in doc["parties"]] == ["alice", "bob"]
     assert doc["parties"][1]["believed_peer"] == "eve"
 
 
-def test_kci_document_runs_full_matrix():
-    doc = json.loads(run_cli("kci").stdout)
+def test_kci_document_runs_full_matrix(capsys):
+    doc = main_json(capsys, "kci")
     cells = {(c["x_choice"], c["corrupt_b"]): c["report"]["success"] for c in doc["cells"]}
     assert len(cells) == 4
     assert cells[("identity_point_of_b", True)] is True
     assert sum(cells.values()) == 1
 
 
-def test_freshness_table_row_count():
-    doc = json.loads(run_cli("freshness-table").stdout)
+def test_freshness_table_row_count(capsys):
+    doc = main_json(capsys, "freshness-table")
     assert len(doc["rows"]) == 80
 
 
-def test_eck_batch_counts_add_up():
-    doc = json.loads(run_cli("eck-batch", "--trials", "50").stdout)
+def test_eck_batch_counts_add_up(capsys):
+    doc = main_json(capsys, "eck-batch", "--trials", "50")
     assert doc["wins"] + doc["losses"] + doc["invalid"] == 50
     assert doc["adversary"] == "random-guess"
 
 
-def test_out_flag_writes_file(tmp_path):
+def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
-    result = run_cli("uks", "--seed", "2", "--out", str(target))
-    assert result.stdout == ""
+    status, out = run_main(capsys, "uks", "--seed", "2", "--out", str(target))
+    assert status == 0
+    assert out == ""
     assert json.loads(target.read_text())["seed"] == 2
 
 
-def test_small_q_flag():
-    doc = json.loads(run_cli("handshake", "--q", "101", "--seed", "1").stdout)
+def test_small_q_flag(capsys):
+    doc = main_json(capsys, "handshake", "--q", "101", "--seed", "1")
     assert doc["group"]["q"] == "101"
     assert doc["initiator_key_digest"] == doc["responder_key_digest"]
 
@@ -98,13 +111,15 @@ def test_small_q_flag():
     ],
 )
 def test_flag_errors_exit_2(argv):
-    assert run_cli(*argv, check=False).returncode == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
-def test_attack_failure_is_data_not_exit_code():
-    result = run_cli("uks", "--variant", "hardened")
-    assert json.loads(result.stdout)["success"] is False
-    assert result.returncode == 0
+def test_attack_failure_is_data_not_exit_code(capsys):
+    status, out = run_main(capsys, "uks", "--variant", "hardened")
+    assert json.loads(out)["success"] is False
+    assert status == 0
 
 
 # sha256 of stdout, recorded before the attack scripts moved onto World;
@@ -127,9 +142,43 @@ FROZEN_DIGESTS = {
 }
 
 
+def frozen_argv(key):
+    *argv, variant = key
+    return [*argv, "--variant", variant]
+
+
+def stdout_digest(capsys):
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("key", FROZEN_DIGESTS, ids=lambda k: "-".join(k[:1] + k[-1:]))
 def test_stdout_bytes_are_frozen(key, capsys):
-    *argv, variant = key
-    assert main([*argv, "--variant", variant]) == 0
-    stdout = capsys.readouterr().out.encode("utf-8")
-    assert hashlib.sha256(stdout).hexdigest() == FROZEN_DIGESTS[key]
+    assert main(frozen_argv(key)) == 0
+    assert stdout_digest(capsys) == FROZEN_DIGESTS[key]
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    """Back-to-back commands in one process share one parser: the frozen
+    argvs build it once between them, and every digest still holds."""
+    real = cli.build_parser
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    for key, digest in FROZEN_DIGESTS.items():
+        assert main(frozen_argv(key)) == 0
+        assert stdout_digest(capsys) == digest
+    assert len(builds) == 1
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    """Neither the flags of an earlier command nor a flag error leak into
+    the next: a default handshake afterwards prints its frozen bytes."""
+    target = tmp_path / "batch.json"
+    argv = ["eck-batch", "--trials", "3", "--seed", "9", "--q", "101", "--variant", "original"]
+    assert main([*argv, "--out", str(target)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["eck-batch", "--trials", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["handshake", "--seed", "3"]) == 0
+    assert stdout_digest(capsys) == FROZEN_DIGESTS[("handshake", "--seed", "3", "hardened")]

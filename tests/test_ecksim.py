@@ -126,6 +126,13 @@ def test_adv_extract_rejects_registered_parties():
         world.adv_extract("alice")
 
 
+def test_matching_session_on_active_session_fails():
+    world = make_world()
+    handle, _ = world.activate("alice", "bob", Role.INITIATOR)
+    with pytest.raises(SessionStateError):
+        world.matching_session(handle)
+
+
 def test_is_fresh_on_unaccepted_session_fails():
     world = make_world()
     h_init, _ = world.activate("alice", "bob", Role.INITIATOR)
@@ -468,7 +475,8 @@ def log_atoms(world, handle, star):
 
 def test_is_fresh_cost_does_not_grow_with_sessions(monkeypatch):
     """is_fresh on the newest session makes as many session_id calls in a
-    world of 1000 honest exchanges as in one of 10."""
+    world of 1000 honest exchanges as in one of 10: none, since the match
+    index is keyed by plain values."""
     real = ecksim.session_id
     calls = []
     monkeypatch.setattr(ecksim, "session_id", lambda session: calls.append(1) or real(session))
@@ -480,7 +488,7 @@ def test_is_fresh_cost_does_not_grow_with_sessions(monkeypatch):
         calls.clear()
         assert world.is_fresh(newest).fresh
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] == 0
 
 
 def test_second_world_skips_order_validation(monkeypatch):
