@@ -27,7 +27,8 @@ from .ecksim import (
     run_random_guess_adversary,
     two_party_world,
 )
-from .group import DEFAULT_Q, is_prime
+from .errors import ParameterError
+from .group import DEFAULT_Q, GroupParams
 from .oracles import DIGEST
 from .protocol import Variant, transcript_record
 
@@ -41,8 +42,10 @@ def _decimal(text: str) -> int:
 
 def _prime_order(text: str) -> int:
     value = _decimal(text)
-    if value <= 3 or value >= 1 << 64 or not is_prime(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a prime in (3, 2^64)")
+    try:
+        GroupParams(value)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

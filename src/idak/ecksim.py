@@ -10,9 +10,9 @@ sessions accepted over which transcripts. `World` keeps three indexes in
 step with that state, so a verdict costs a few lookups however many
 sessions and queries there are: the accepted sessions, updated in
 `deliver`, and the revealed sessions and the corrupted identities,
-updated in `_record`, the one place the log grows. Accepted sessions are
-keyed by `protocol.match_key`, a tuple of plain values, not by
-`SessionId`: a lookup builds no dataclass and runs no Python-level hash.
+updated in `_record`, the one place the log grows. Each accepted session
+is indexed under the `SessionId` of the session that would match it, its
+`protocol.partner_id`, so a lookup builds one tuple of plain values.
 Transcript exponents suffice as the key because `complete_session`
 rejects elements of another group before anything is indexed.
 
@@ -49,10 +49,11 @@ from .oracles import KEY_BYTES
 from .protocol import (
     Role,
     Session,
+    SessionId,
     Status,
     Variant,
     complete_session,
-    match_key,
+    partner_id,
     session_id,
     start_session,
 )
@@ -118,10 +119,10 @@ class World:
         self.params: GroupParams = self.kgc.params
         self.log: list[QueryRecord] = []
         # indexes over self.log (_record) and the accepted sessions (deliver);
-        # _accepted is keyed by match_key, the plain values SessionId hashes
+        # _accepted maps the partner_id of each accepted session to its handle
         self._session_reveals: set[tuple[QueryKind, int]] = set()
         self._corrupted: set[str] = set()
-        self._accepted: dict[tuple[str, str, bool, int, int], int] = {}
+        self._accepted: dict[SessionId, int] = {}
         self._parties: dict[str, IdentityKey] = {}
         self._sessions: dict[int, Session] = {}
         self._next_handle = 1
@@ -151,7 +152,7 @@ class World:
         session completes (or rejects); nothing is returned."""
         session = self.session(handle)
         complete_session(session, element, self._party_keys(session.owner), self.params)
-        key = match_key(session)
+        key = partner_id(session_id(session))
         # sessions may accept out of creation order; the smallest handle wins
         if self._accepted.setdefault(key, handle) > handle:
             self._accepted[key] = handle
@@ -161,9 +162,12 @@ class World:
         When several accepted sessions share the partner's id (replayed
         transcripts), the smallest handle, the first created, wins. Raises
         SessionStateError while the session is still Active."""
-        return self._accepted.get(match_key(self.session(handle), partner=True))
+        return self._accepted.get(session_id(self.session(handle)))
 
     def session(self, handle: int) -> Session:
+        # bool and float handles would otherwise find the int key they equal
+        if type(handle) is not int:
+            raise QueryError(f"session handle must be an int, not {type(handle).__name__}")
         try:
             return self._sessions[handle]
         except KeyError:
@@ -263,8 +267,8 @@ class World:
             raise QueryError("guess requires a prior test query")
         if self._outcome is not None:
             raise QueryError("only one guess is allowed")
-        if bit not in (0, 1):
-            raise QueryError("guess bit must be 0 or 1")
+        if type(bit) is not int or bit not in (0, 1):
+            raise QueryError("guess bit must be the int 0 or 1")
         self._guess_bit = bit
         self._record(QueryRecord(QueryKind.GUESS, bit=bit))
         verdict = self.is_fresh(self._test_handle)
@@ -281,7 +285,14 @@ class World:
         test_session = None
         freshness = None
         if self._test_handle is not None:
-            test_session = session_id(self.session(self._test_handle)).to_json()
+            session = self.session(self._test_handle)
+            ends = [session.r_out.hex(), session.r_in.hex()]
+            test_session = {
+                "owner": session.owner,
+                "peer": session.peer,
+                "role": session.role.value,
+                "transcript": ends if session.role is Role.INITIATOR else ends[::-1],
+            }
             freshness = self.is_fresh(self._test_handle).to_json()
         return {
             "seed": self.seed,

@@ -9,10 +9,6 @@ class GroupMismatchError(IdakError):
     """Operands belong to different group instantiations."""
 
 
-class DecodeError(IdakError):
-    """A byte string is not a canonical element encoding."""
-
-
 class EmptyIdentityError(IdakError):
     """Identity strings must be nonempty."""
 
@@ -22,8 +18,9 @@ class InvalidElementError(IdakError):
 
 
 class ParameterError(IdakError, ValueError):
-    """A parameter is out of range: a group order that is not a usable
-    prime, or key material that belongs to another party."""
+    """A parameter is out of range or of the wrong kind: a group order that
+    is not a usable prime, a role that is not a Role, or key material that
+    belongs to another party."""
 
 
 class SessionStateError(IdakError):

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .errors import DecodeError, GroupMismatchError, ParameterError
+from .errors import GroupMismatchError, ParameterError
 
 DEFAULT_Q = 1_000_003  # smallest prime above 10**6; keeps exponents cheap to audit
 
@@ -143,17 +143,6 @@ class _Elem:
 
     def hex(self) -> str:
         return self.to_bytes().hex()
-
-    @classmethod
-    def from_bytes(cls, params: GroupParams, data: bytes):
-        """Decode a canonical encoding; rejects wrong lengths and any
-        value at or above q rather than reducing it."""
-        if len(data) != params.width:
-            raise DecodeError(f"expected {params.width} bytes, got {len(data)}")
-        value = int.from_bytes(data, "big")
-        if value >= params.q:
-            raise DecodeError(f"encoded value {value} is not below the group order")
-        return cls(params, value)
 
 
 # slot setters, bound once: _Elem._reduced is on every group operation's path

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapabilityError
-from .group import DEFAULT_Q, GElem, GroupParams, random_scalar
+from .group import GElem, GroupParams, random_scalar
 from .oracles import hash_to_group
 
 
@@ -33,10 +33,10 @@ class KGC:
     def __init__(
         self,
         rng: random.Random,
-        group: GroupParams | None = None,
+        group: GroupParams,
         master_key_reveal: bool = False,
     ) -> None:
-        self.params = group if group is not None else GroupParams(DEFAULT_Q)
+        self.params = group
         self._alpha = random_scalar(rng, self.params)
         self._master_key_reveal = master_key_reveal
         self._registry: dict[str, IdentityKey] = {}

@@ -75,29 +75,9 @@ class Session:
     key: bytes | None = None
 
 
-@dataclass(frozen=True)
-class SessionId:
-    """Value identity of an accepted session: who ran it, against whom,
-    in which role, over which transcript (initiator message first)."""
-
-    owner: str
-    peer: str
-    role: Role
-    transcript: tuple[GElem, GElem]
-
-    def __hash__(self) -> int:
-        # agrees with the generated __eq__; hashing plain values skips the
-        # Python-level hashes of Role and of the elements and their params
-        r_init, r_resp = self.transcript
-        return hash((self.owner, self.peer, self.role is Role.INITIATOR, r_init.exp, r_resp.exp))
-
-    def to_json(self) -> dict:
-        return {
-            "owner": self.owner,
-            "peer": self.peer,
-            "role": self.role.value,
-            "transcript": [self.transcript[0].hex(), self.transcript[1].hex()],
-        }
+# value identity of an accepted session: (owner, peer, is_initiator, exponents
+# of the initiator's and the responder's messages), comparable within one group
+SessionId = tuple[str, str, bool, int, int]
 
 
 def session_scalars(
@@ -146,6 +126,8 @@ def start_session(
     element public_key^x. The session stays Active until completion."""
     if not peer:
         raise EmptyIdentityError("peer identity must be nonempty")
+    if not isinstance(role, Role):
+        raise ParameterError(f"role must be a Role, not {type(role).__name__}")
     x = random_scalar(rng, params)
     r_out = keys.public_key**x
     session = Session(keys.identity, peer, role, variant, x, r_out)
@@ -194,34 +176,16 @@ def session_id(session: Session) -> SessionId:
     """SessionId of an accepted session; raises while it is still Active."""
     if session.status is not Status.ACCEPTED:
         raise SessionStateError("session id is defined only after acceptance")
-    if session.role is Role.INITIATOR:
-        transcript = (session.r_out, session.r_in)
-    else:
-        transcript = (session.r_in, session.r_out)
-    return SessionId(session.owner, session.peer, session.role, transcript)
-
-
-def match_key(session: Session, partner: bool = False) -> tuple[str, str, bool, int, int]:
-    """Plain-value key of an accepted session, the tuple SessionId hashes:
-    (owner, peer, is_initiator, exponents of the ordered transcript). With
-    partner set, the key of a session matching it: owner and peer swapped,
-    the other role, the same transcript. Exponents stand for elements only
-    within one group, so keys compare sessions of one World. Raises while
-    the session is still Active."""
-    if session.status is not Status.ACCEPTED:
-        raise SessionStateError("session id is defined only after acceptance")
     initiator = session.role is Role.INITIATOR
     r_init, r_resp = (session.r_out, session.r_in) if initiator else (session.r_in, session.r_out)
-    if partner:
-        return (session.peer, session.owner, not initiator, r_init.exp, r_resp.exp)
     return (session.owner, session.peer, initiator, r_init.exp, r_resp.exp)
 
 
 def partner_id(sid: SessionId) -> SessionId:
     """The SessionId of a session matching sid: owner and peer swapped,
     the complementary role, the same ordered transcript."""
-    role = Role.RESPONDER if sid.role is Role.INITIATOR else Role.INITIATOR
-    return SessionId(sid.peer, sid.owner, role, sid.transcript)
+    owner, peer, initiator, r_init, r_resp = sid
+    return (peer, owner, not initiator, r_init, r_resp)
 
 
 def sessions_match(a: SessionId, b: SessionId) -> bool:

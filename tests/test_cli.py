@@ -103,6 +103,7 @@ def test_small_q_flag(capsys):
     [
         ["handshake", "--q", "1000004"],  # composite
         ["handshake", "--q", "3"],
+        ["handshake", "--q", "18446744073709551629"],  # 2^64 + 13: prime, too wide
         ["handshake", "--seed", "-1"],
         ["handshake", "--variant", "fancy"],
         ["eck-batch", "--trials", "0"],

@@ -22,12 +22,10 @@ from idak import (
     run_honest_exchange,
     run_key_reveal_violator,
     run_random_guess_adversary,
-    session_id,
-    sessions_match,
     start_session,
 )
 from idak import ecksim, group, oracles
-from idak.errors import IdakError, QueryError, SessionStateError
+from idak.errors import IdakError, ParameterError, QueryError, SessionStateError
 
 from conftest import reference_freshness
 
@@ -84,6 +82,25 @@ def test_unknown_handles_and_identities():
         world.private_reveal("mallory")
     with pytest.raises(QueryError):
         world.activate("mallory", "bob", Role.INITIATOR)
+
+
+def test_wrong_typed_handles_bits_and_roles_are_rejected():
+    """A bool or float equal to a handle or a bit fails at the boundary
+    rather than resolving to it and reaching the query log as JSON true or
+    1.0; a role given as a string fails rather than running as responder."""
+    world = make_world()
+    h_init, _ = run_honest_exchange(world, "alice", "bob")
+    for handle in (True, 1.0):
+        for query in (world.eph_reveal, world.key_reveal, world.is_fresh, world.test):
+            with pytest.raises(QueryError):
+                query(handle)
+    world.test(h_init)
+    for bit in (True, False, 1.0, 0.0):
+        with pytest.raises(QueryError):
+            world.guess(bit)
+    assert [record.to_json() for record in world.log] == [{"query": "Test", "session": h_init}]
+    with pytest.raises(ParameterError):
+        world.activate("alice", "bob", "initiator")
 
 
 def test_eph_reveal_returns_the_scalar():
@@ -438,13 +455,20 @@ def test_fuzzed_query_sequences(q, seed, variant, queries):
 
 def scan_matching_session(world, handle, count):
     """Reference for matching_session: scan the count sessions in creation
-    order for the first accepted one that matches crosswise."""
-    own = session_id(world.session(handle))
+    order for the first accepted one that matches crosswise, comparing raw
+    session fields rather than session ids: owner and peer swapped, the
+    other role, and each one's outgoing element the other's incoming one."""
+    own = world.session(handle)
     for other in range(1, count + 1):
         session = world.session(other)
-        if other != handle and session.status is Status.ACCEPTED:
-            if sessions_match(own, session_id(session)):
-                return other
+        if (
+            other != handle
+            and session.status is Status.ACCEPTED
+            and (session.owner, session.peer) == (own.peer, own.owner)
+            and session.role is not own.role
+            and (session.r_out, session.r_in) == (own.r_in, own.r_out)
+        ):
+            return other
     return None
 
 
@@ -475,8 +499,8 @@ def log_atoms(world, handle, star):
 
 def test_is_fresh_cost_does_not_grow_with_sessions(monkeypatch):
     """is_fresh on the newest session makes as many session_id calls in a
-    world of 1000 honest exchanges as in one of 10: none, since the match
-    index is keyed by plain values."""
+    world of 1000 honest exchanges as in one of 10: exactly one, the id its
+    match lookup reads, and no scan over the other sessions."""
     real = ecksim.session_id
     calls = []
     monkeypatch.setattr(ecksim, "session_id", lambda session: calls.append(1) or real(session))
@@ -488,7 +512,7 @@ def test_is_fresh_cost_does_not_grow_with_sessions(monkeypatch):
         calls.clear()
         assert world.is_fresh(newest).fresh
         counts.append(len(calls))
-    assert counts[0] == counts[1] == 0
+    assert counts[0] == counts[1] == 1
 
 
 def test_second_world_skips_order_validation(monkeypatch):

@@ -57,8 +57,3 @@ def test_reveal_gate():
     with pytest.raises(CapabilityError):
         make_kgc().reveal_master_key()
     assert isinstance(make_kgc(master_key_reveal=True).reveal_master_key(), int)
-
-
-def test_default_group_is_the_big_prime():
-    kgc = KGC(random.Random(0))
-    assert kgc.params.q == 1_000_003
