@@ -10,8 +10,9 @@ sessions accepted over which transcripts. `World` keeps three indexes in
 step with that state, so a verdict costs a few lookups however many
 sessions and queries there are: the accepted sessions, updated in
 `deliver`, and the revealed sessions and the corrupted identities,
-updated in `_record`, the one place the log grows. Each accepted session
-is indexed under the `SessionId` of the session that would match it, its
+updated in `_record`, the one place the log grows, and emptied with the
+log in `_clear_queries`. Each accepted session is indexed under the
+`SessionId` of the session that would match it, its
 `protocol.partner_id`, so a lookup builds one tuple of plain values.
 Transcript exponents suffice as the key because `complete_session`
 rejects elements of another group before anything is indexed.
@@ -42,7 +43,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import QueryError, SessionStateError
+from .errors import ParameterError, QueryError, SessionStateError
 from .group import DEFAULT_Q, GElem, GroupParams
 from .kgc import KGC, IdentityKey
 from .oracles import KEY_BYTES
@@ -112,6 +113,8 @@ class World:
         q: int = DEFAULT_Q,
         master_key_reveal: bool = False,
     ) -> None:
+        if not isinstance(variant, Variant):
+            raise ParameterError(f"variant must be a Variant, not {type(variant).__name__}")
         self.seed = seed
         self.variant = variant
         self.rng = random.Random(seed)
@@ -135,11 +138,14 @@ class World:
 
     def add_party(self, identity: str) -> None:
         """Register an honest party. Not an adversary query, not logged."""
+        _check_identity(identity)
         self._parties[identity] = self.kgc.extract(identity)
 
     def activate(self, owner: str, peer: str, role: Role) -> tuple[int, GElem]:
         """Open a session at a registered party, returning its handle and
         the outgoing element (which the adversary may or may not deliver)."""
+        _check_identity(owner)
+        _check_identity(peer)
         keys = self._party_keys(owner)
         session, r_out = start_session(self.params, keys, peer, role, self.variant, self.rng)
         handle = self._next_handle
@@ -182,6 +188,15 @@ class World:
         if record.identity is not None:
             self._corrupted.add(record.identity)
 
+    def _clear_queries(self) -> None:
+        """Empty the query log and the indexes _record keeps over it, so the
+        next queries are judged as if they were the first. Sessions, keys
+        and the RNG are left as they are, and so is the Test and Guess
+        state: only for worlds that have issued neither."""
+        self.log.clear()
+        self._session_reveals.clear()
+        self._corrupted.clear()
+
     def _party_keys(self, identity: str) -> IdentityKey:
         try:
             return self._parties[identity]
@@ -206,6 +221,7 @@ class World:
 
     def private_reveal(self, identity: str) -> IdentityKey:
         """Reveal a registered party's long-term key material."""
+        _check_identity(identity)
         keys = self._party_keys(identity)
         self._record(QueryRecord(QueryKind.PRIVATE_KEY_REVEAL, identity=identity))
         return keys
@@ -214,6 +230,7 @@ class World:
         """Let the adversary register its own identity with the KGC and
         collect the key material. Logged as an extraction, which corrupts
         the identity: no session that names it as peer is fresh."""
+        _check_identity(identity)
         if identity in self._parties:
             raise QueryError(f"{identity!r} is already a registered party")
         keys = self.kgc.extract(identity)
@@ -307,6 +324,14 @@ class World:
         }
 
 
+def _check_identity(identity: object) -> None:
+    # anything else fails deep in hashing or as unhashable, or, as a peer,
+    # only once the session completes; an empty string fails as before,
+    # as an unknown party or with EmptyIdentityError where it is hashed
+    if not isinstance(identity, str):
+        raise ParameterError(f"identity must be a str, not {type(identity).__name__}")
+
+
 def two_party_world(
     seed: int,
     variant: Variant,
@@ -369,40 +394,42 @@ def freshness_truth_table(
 ) -> list[dict]:
     """Exhaustive freshness enumeration over real worlds.
 
-    For each branch (matching session present or absent) and each subset
-    of the relevant reveal queries, a fresh world is built, the queries
-    are issued for real, and the implementation verdict is recorded.
+    Each branch (matching session present or absent) builds one world and
+    runs its exchange once, honest or with a tampered response. For each
+    subset of the relevant reveal queries the world's query log is
+    cleared, the queries are issued for real, and the implementation
+    verdict is recorded: the same verdict a world built afresh for the
+    row would give, since reveals draw nothing from the RNG.
     2^6 matched rows plus 2^4 unmatched rows, 80 in total.
     """
     rows: list[dict] = []
     for matched in (True, False):
+        world = two_party_world(seed, variant, q)
+        if matched:
+            h_sid, h_star = run_honest_exchange(world, "alice", "bob")
+        else:
+            h_sid, r_sid = world.activate("alice", "bob", Role.INITIATOR)
+            h_other, r_other = world.activate("bob", "alice", Role.RESPONDER)
+            # tampered response: alice accepts a transcript bob never saw;
+            # squaring keeps it off the identity and off r_other for q > 3
+            world.deliver(h_sid, r_other**2)
+            world.deliver(h_other, r_sid)
+            h_star = None
+        reveals = {
+            "SessionKeyReveal(sid)": (world.key_reveal, h_sid),
+            "SessionKeyReveal(sid*)": (world.key_reveal, h_star),
+            "PrivateKeyReveal(owner)": (world.private_reveal, "alice"),
+            "PrivateKeyReveal(peer)": (world.private_reveal, "bob"),
+            "EphemeralKeyReveal(sid)": (world.eph_reveal, h_sid),
+            "EphemeralKeyReveal(sid*)": (world.eph_reveal, h_star),
+        }
         atoms = _ATOMS_MATCHED if matched else _ATOMS_UNMATCHED
         for mask in range(1 << len(atoms)):
             chosen = [atom for i, atom in enumerate(atoms) if mask >> i & 1]
-            world = two_party_world(seed, variant, q)
-            if matched:
-                h_sid, h_star = run_honest_exchange(world, "alice", "bob")
-            else:
-                h_sid, r_sid = world.activate("alice", "bob", Role.INITIATOR)
-                h_other, r_other = world.activate("bob", "alice", Role.RESPONDER)
-                # tampered response: alice accepts a transcript bob never saw;
-                # squaring keeps it off the identity and off r_other for q > 3
-                world.deliver(h_sid, r_other**2)
-                world.deliver(h_other, r_sid)
-                h_star = None
+            world._clear_queries()
             for atom in chosen:
-                if atom == "SessionKeyReveal(sid)":
-                    world.key_reveal(h_sid)
-                elif atom == "SessionKeyReveal(sid*)":
-                    world.key_reveal(h_star)
-                elif atom == "PrivateKeyReveal(owner)":
-                    world.private_reveal("alice")
-                elif atom == "PrivateKeyReveal(peer)":
-                    world.private_reveal("bob")
-                elif atom == "EphemeralKeyReveal(sid)":
-                    world.eph_reveal(h_sid)
-                elif atom == "EphemeralKeyReveal(sid*)":
-                    world.eph_reveal(h_star)
+                query, argument = reveals[atom]
+                query(argument)
             verdict = world.is_fresh(h_sid)
             rows.append(
                 {

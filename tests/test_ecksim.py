@@ -24,8 +24,14 @@ from idak import (
     run_random_guess_adversary,
     start_session,
 )
-from idak import ecksim, group, oracles
-from idak.errors import IdakError, ParameterError, QueryError, SessionStateError
+from idak import ecksim, group, oracles, protocol
+from idak.errors import (
+    EmptyIdentityError,
+    IdakError,
+    ParameterError,
+    QueryError,
+    SessionStateError,
+)
 
 from conftest import reference_freshness
 
@@ -214,6 +220,81 @@ def test_truth_table_on_small_groups(q, seed, variant):
     rows = freshness_truth_table(seed, variant, q)
     assert len(rows) == 80
     assert_rows_match_reference(rows)
+
+
+def truth_table_world_per_row(seed, variant, q):
+    """The enumeration built the slow way: a new world, exchange included,
+    for every row, with the row's reveals issued on its empty log."""
+    rows = []
+    for matched in (True, False):
+        atoms = ecksim._ATOMS_MATCHED if matched else ecksim._ATOMS_UNMATCHED
+        for mask in range(1 << len(atoms)):
+            chosen = [atom for i, atom in enumerate(atoms) if mask >> i & 1]
+            world = ecksim.two_party_world(seed, variant, q)
+            if matched:
+                h_sid, h_star = run_honest_exchange(world, "alice", "bob")
+            else:
+                h_sid, r_sid = world.activate("alice", "bob", Role.INITIATOR)
+                h_other, r_other = world.activate("bob", "alice", Role.RESPONDER)
+                world.deliver(h_sid, r_other**2)
+                world.deliver(h_other, r_sid)
+                h_star = None
+            for atom in chosen:
+                if atom == "SessionKeyReveal(sid)":
+                    world.key_reveal(h_sid)
+                elif atom == "SessionKeyReveal(sid*)":
+                    world.key_reveal(h_star)
+                elif atom == "PrivateKeyReveal(owner)":
+                    world.private_reveal("alice")
+                elif atom == "PrivateKeyReveal(peer)":
+                    world.private_reveal("bob")
+                elif atom == "EphemeralKeyReveal(sid)":
+                    world.eph_reveal(h_sid)
+                elif atom == "EphemeralKeyReveal(sid*)":
+                    world.eph_reveal(h_star)
+            verdict = world.is_fresh(h_sid)
+            rows.append(
+                {
+                    "matching_session_exists": matched,
+                    "queries": chosen,
+                    "fresh": verdict.fresh,
+                    "violated_clause": verdict.violated_clause,
+                }
+            )
+    return rows
+
+
+@pytest.mark.parametrize("variant", [Variant.ORIGINAL, Variant.HARDENED])
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 1_000_003])
+@pytest.mark.parametrize("seed", [0, 1, 5, 12])
+def test_truth_table_equals_a_world_per_row(seed, q, variant):
+    """Reusing one world per branch gives the rows, verdicts and order of
+    building a fresh world for every row."""
+    assert freshness_truth_table(seed, variant, q) == truth_table_world_per_row(seed, variant, q)
+
+
+def test_cleared_queries_leave_no_trace():
+    """After _clear_queries the log is empty and a verdict depends only on
+    the queries issued since."""
+    world = make_world()
+    h_init, h_resp = run_honest_exchange(world, "alice", "bob")
+    world.key_reveal(h_resp)
+    world.private_reveal("alice")
+    world.eph_reveal(h_init)
+    world.adv_extract("eve")
+    assert world.is_fresh(h_init) == FreshnessVerdict(False, "1")
+    world._clear_queries()
+    assert world.log == []
+    assert world.is_fresh(h_init) == FreshnessVerdict(True)
+    world.private_reveal("bob")
+    assert [record.to_json() for record in world.log] == [
+        {"query": "PrivateKeyReveal", "identity": "bob"}
+    ]
+    assert world.is_fresh(h_init) == FreshnessVerdict(True)
+    world.eph_reveal(h_init)
+    assert world.is_fresh(h_init) == FreshnessVerdict(True)
+    world.private_reveal("alice")
+    assert world.is_fresh(h_init) == FreshnessVerdict(False, "2a")
 
 
 @pytest.mark.parametrize("later_accepts_first", [False, True], ids=["in-order", "later-first"])
@@ -513,6 +594,57 @@ def test_is_fresh_cost_does_not_grow_with_sessions(monkeypatch):
         assert world.is_fresh(newest).fresh
         counts.append(len(calls))
     assert counts[0] == counts[1] == 1
+
+
+def test_truth_table_builds_each_branch_once(monkeypatch):
+    """The 80 rows run on two worlds, one exchange each: 4 session starts
+    and 4 pairings, while every row still gets its own is_fresh verdict."""
+    counts = {"pair": 0, "start_session": 0, "is_fresh": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(protocol, "pair", counting("pair", protocol.pair))
+    monkeypatch.setattr(ecksim, "start_session", counting("start_session", ecksim.start_session))
+    monkeypatch.setattr(World, "is_fresh", counting("is_fresh", World.is_fresh))
+    assert len(freshness_truth_table()) == 80
+    assert counts == {"pair": 4, "start_session": 4, "is_fresh": 80}
+
+
+def test_world_rejects_wrong_typed_variant_and_identities():
+    """A variant that is not a Variant, or an identity that is not a str,
+    fails with ParameterError before any RNG draw, handle or log record;
+    empty identities keep their errors."""
+    with pytest.raises(ParameterError):
+        World(0, "hardened")
+    world = make_world()
+    state = world.rng.getstate()
+    calls = [
+        lambda: world.add_party(7),
+        lambda: world.add_party([1]),
+        lambda: world.adv_extract(9),
+        lambda: world.adv_extract(b"x"),
+        lambda: world.private_reveal(["a"]),
+        lambda: world.activate(["a"], "bob", Role.INITIATOR),
+        lambda: world.activate("alice", 5, Role.INITIATOR),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+    assert world.rng.getstate() == state
+    assert world.log == []
+    assert world.activate("alice", "bob", Role.INITIATOR)[0] == 1
+    for call in (
+        lambda: world.add_party(""),
+        lambda: world.adv_extract(""),
+        lambda: world.activate("alice", "", Role.INITIATOR),
+    ):
+        with pytest.raises(EmptyIdentityError):
+            call()
 
 
 def test_second_world_skips_order_validation(monkeypatch):
