@@ -6,16 +6,19 @@ The adversary owns the wire. Sessions only ever complete through
 query exposes them. Reveal queries (ephemeral scalar, long-term key,
 session key, extraction of fresh identities) are appended to a query
 log; the freshness rule is a pure function of that log and of which
-sessions accepted over which transcripts. `World` keeps three indexes in
-step with that state, so a verdict costs a few lookups however many
-sessions and queries there are: the accepted sessions, updated in
-`deliver`, and the revealed sessions and the corrupted identities,
-updated in `_record`, the one place the log grows, and emptied with the
-log in `_clear_queries`. Each accepted session is indexed under the
-`SessionId` of the session that would match it, its
-`protocol.partner_id`, so a lookup builds one tuple of plain values.
-Transcript exponents suffice as the key because `complete_session`
-rejects elements of another group before anything is indexed.
+sessions accepted over which transcripts. `World` keeps four indexes in
+step with that state, all keyed by plain values (handles, names and
+exponents), so a verdict costs a few lookups however many sessions and
+queries there are. The accepted map `_accepted`, updated in `deliver`,
+files each accepted session's handle under the `SessionId` of the
+session that would match it, its `protocol.partner_id`, so a lookup
+builds one tuple. Two sets of handles, the sessions whose key
+(`_key_revealed`) and whose ephemeral scalar (`_eph_revealed`) was
+revealed, and one set of names, the corrupted identities
+(`_corrupted`), are updated in `_record`, the one place the log grows,
+and emptied with the log in `_clear_queries`. Transcript exponents
+suffice as the match key because `complete_session` rejects elements of
+another group before anything is indexed.
 
 Freshness of a completed session sid with owner A and intended peer B,
 writing sid* for its matching session when one exists, fails exactly
@@ -45,7 +48,7 @@ from enum import Enum
 
 from .errors import ParameterError, QueryError, SessionStateError
 from .group import DEFAULT_Q, GElem, GroupParams
-from .kgc import KGC, IdentityKey
+from .kgc import KGC, IdentityKey, check_identity
 from .oracles import KEY_BYTES
 from .protocol import (
     Role,
@@ -67,6 +70,12 @@ class QueryKind(Enum):
     EXTRACT = "Extract"
     TEST = "Test"
     GUESS = "Guess"
+
+
+# module names for the kinds _record routes: reading a member off the enum
+# class costs a Python-level lookup, a global does not
+_EPHEMERAL = QueryKind.EPHEMERAL_KEY_REVEAL
+_SESSION_KEY = QueryKind.SESSION_KEY_REVEAL
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,15 @@ class FreshnessVerdict:
         return {"fresh": self.fresh, "violated_clause": self.violated_clause}
 
 
+# the six verdicts is_fresh returns; frozen, so every caller may share them
+_FRESH = FreshnessVerdict(True)
+_CLAUSE_1 = FreshnessVerdict(False, "1")
+_CLAUSE_2A = FreshnessVerdict(False, "2a")
+_CLAUSE_2B = FreshnessVerdict(False, "2b")
+_CLAUSE_3A = FreshnessVerdict(False, "3a")
+_CLAUSE_3B = FreshnessVerdict(False, "3b")
+
+
 class Outcome(Enum):
     WIN = "win"
     LOSE = "lose"
@@ -121,9 +139,12 @@ class World:
         self.kgc = KGC(self.rng, GroupParams(q), master_key_reveal=master_key_reveal)
         self.params: GroupParams = self.kgc.params
         self.log: list[QueryRecord] = []
-        # indexes over self.log (_record) and the accepted sessions (deliver);
-        # _accepted maps the partner_id of each accepted session to its handle
-        self._session_reveals: set[tuple[QueryKind, int]] = set()
+        # indexes over self.log, filled by _record: the handles of sessions
+        # whose key / ephemeral scalar was revealed, and the names that a
+        # PrivateKeyReveal or Extract record corrupted; and over the accepted
+        # sessions, filled by deliver: the partner_id of each one -> its handle
+        self._key_revealed: set[int] = set()
+        self._eph_revealed: set[int] = set()
         self._corrupted: set[str] = set()
         self._accepted: dict[SessionId, int] = {}
         self._parties: dict[str, IdentityKey] = {}
@@ -138,14 +159,13 @@ class World:
 
     def add_party(self, identity: str) -> None:
         """Register an honest party. Not an adversary query, not logged."""
-        _check_identity(identity)
         self._parties[identity] = self.kgc.extract(identity)
 
     def activate(self, owner: str, peer: str, role: Role) -> tuple[int, GElem]:
         """Open a session at a registered party, returning its handle and
         the outgoing element (which the adversary may or may not deliver)."""
-        _check_identity(owner)
-        _check_identity(peer)
+        # start_session checks the peer
+        check_identity(owner)
         keys = self._party_keys(owner)
         session, r_out = start_session(self.params, keys, peer, role, self.variant, self.rng)
         handle = self._next_handle
@@ -182,10 +202,15 @@ class World:
     def _record(self, record: QueryRecord) -> None:
         """Append to the query log and keep the freshness indexes in step."""
         self.log.append(record)
-        if record.session is not None:
-            self._session_reveals.add((record.kind, record.session))
+        # identity tests, not hashing: an enum hash is a Python-level call;
+        # Test and Guess records enter no index
+        kind = record.kind
+        if kind is _EPHEMERAL:
+            self._eph_revealed.add(record.session)
+        elif kind is _SESSION_KEY:
+            self._key_revealed.add(record.session)
         # only PrivateKeyReveal and Extract records carry an identity
-        if record.identity is not None:
+        elif record.identity is not None:
             self._corrupted.add(record.identity)
 
     def _clear_queries(self) -> None:
@@ -194,7 +219,8 @@ class World:
         and the RNG are left as they are, and so is the Test and Guess
         state: only for worlds that have issued neither."""
         self.log.clear()
-        self._session_reveals.clear()
+        self._key_revealed.clear()
+        self._eph_revealed.clear()
         self._corrupted.clear()
 
     def _party_keys(self, identity: str) -> IdentityKey:
@@ -221,7 +247,7 @@ class World:
 
     def private_reveal(self, identity: str) -> IdentityKey:
         """Reveal a registered party's long-term key material."""
-        _check_identity(identity)
+        check_identity(identity)
         keys = self._party_keys(identity)
         self._record(QueryRecord(QueryKind.PRIVATE_KEY_REVEAL, identity=identity))
         return keys
@@ -230,7 +256,7 @@ class World:
         """Let the adversary register its own identity with the KGC and
         collect the key material. Logged as an extraction, which corrupts
         the identity: no session that names it as peer is fresh."""
-        _check_identity(identity)
+        check_identity(identity)
         if identity in self._parties:
             raise QueryError(f"{identity!r} is already a registered party")
         keys = self.kgc.extract(identity)
@@ -242,22 +268,25 @@ class World:
     def is_fresh(self, handle: int) -> FreshnessVerdict:
         """Evaluate the freshness rule for an accepted session against the
         current query log. Clauses are checked in order 1, 2a/3a, 2b/3b
-        and the first violated one is reported."""
+        and the first violated one is reported.
+
+        The match sid* is one lookup in the accepted map; the clauses then
+        test handles in the two reveal sets (key, ephemeral) and names in
+        the corrupted set. The verdict is one of six shared constants."""
         session = self.session(handle)
         if session.status is not Status.ACCEPTED:
             raise SessionStateError("freshness is defined only for accepted sessions")
-        star = self.matching_session(handle)
-        matched = star is not None
-        revealed, corrupted = self._session_reveals, self._corrupted
-        session_key, ephemeral = QueryKind.SESSION_KEY_REVEAL, QueryKind.EPHEMERAL_KEY_REVEAL
+        star = self._accepted.get(session_id(session))
+        keys, ephemerals, corrupted = self._key_revealed, self._eph_revealed, self._corrupted
 
-        if (session_key, handle) in revealed or (matched and (session_key, star) in revealed):
-            return FreshnessVerdict(False, "1")
-        if session.owner in corrupted and (ephemeral, handle) in revealed:
-            return FreshnessVerdict(False, "2a" if matched else "3a")
-        if session.peer in corrupted and (not matched or (ephemeral, star) in revealed):
-            return FreshnessVerdict(False, "2b" if matched else "3b")
-        return FreshnessVerdict(True)
+        # star is None without a match, and None is in neither handle set
+        if handle in keys or star in keys:
+            return _CLAUSE_1
+        if session.owner in corrupted and handle in ephemerals:
+            return _CLAUSE_3A if star is None else _CLAUSE_2A
+        if session.peer in corrupted and (star is None or star in ephemerals):
+            return _CLAUSE_3B if star is None else _CLAUSE_2B
+        return _FRESH
 
     # -- the distinguishing game --------------------------------------------
 
@@ -322,14 +351,6 @@ class World:
             "verdict": self._outcome.value if self._outcome else None,
             "freshness": freshness,
         }
-
-
-def _check_identity(identity: object) -> None:
-    # anything else fails deep in hashing or as unhashable, or, as a peer,
-    # only once the session completes; an empty string fails as before,
-    # as an unknown party or with EmptyIdentityError where it is hashed
-    if not isinstance(identity, str):
-        raise ParameterError(f"identity must be a str, not {type(identity).__name__}")
 
 
 def two_party_world(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CapabilityError
+from .errors import CapabilityError, ParameterError
 from .group import GElem, GroupParams, random_scalar
 from .oracles import hash_to_group
 
@@ -44,6 +44,7 @@ class KGC:
     def extract(self, identity: str) -> IdentityKey:
         """Register an identity and return its key pair. Idempotent: the
         same identity always maps to the same material."""
+        check_identity(identity)
         existing = self._registry.get(identity)
         if existing is not None:
             return existing
@@ -58,3 +59,12 @@ class KGC:
         if not self._master_key_reveal:
             raise CapabilityError("master-key reveal is not enabled on this KGC")
         return self._alpha
+
+
+def check_identity(identity: object) -> None:
+    """Raise ParameterError unless identity is a str. Anything else fails
+    deep in hashing or as unhashable, or, as a peer, only once the session
+    completes; an empty string is left to the callers' own errors, an
+    unknown party or EmptyIdentityError where it is hashed."""
+    if not isinstance(identity, str):
+        raise ParameterError(f"identity must be a str, not {type(identity).__name__}")

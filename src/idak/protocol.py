@@ -34,7 +34,7 @@ from .errors import (
     SessionStateError,
 )
 from .group import GElem, GroupParams, GTElem, pair, random_scalar, same_params
-from .kgc import IdentityKey
+from .kgc import IdentityKey, check_identity
 from .oracles import (
     bound_scalar,
     derive_key_bound,
@@ -123,11 +123,17 @@ def start_session(
     rng: random.Random,
 ) -> tuple[Session, GElem]:
     """Open a session: draw the ephemeral scalar and produce the outgoing
-    element public_key^x. The session stays Active until completion."""
+    element public_key^x. The session stays Active until completion.
+    A peer that is not a nonempty str, or a role or variant of the wrong
+    type, is rejected before the draw."""
+    check_identity(peer)
     if not peer:
         raise EmptyIdentityError("peer identity must be nonempty")
     if not isinstance(role, Role):
         raise ParameterError(f"role must be a Role, not {type(role).__name__}")
+    # any other variant would silently run the hardened arithmetic
+    if not isinstance(variant, Variant):
+        raise ParameterError(f"variant must be a Variant, not {type(variant).__name__}")
     x = random_scalar(rng, params)
     r_out = keys.public_key**x
     session = Session(keys.identity, peer, role, variant, x, r_out)

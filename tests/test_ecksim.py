@@ -1,5 +1,6 @@
 """Adversarial world: queries, delivery, freshness, and the game."""
 
+import dataclasses
 import random
 
 import pytest
@@ -295,6 +296,93 @@ def test_cleared_queries_leave_no_trace():
     assert world.is_fresh(h_init) == FreshnessVerdict(True)
     world.private_reveal("alice")
     assert world.is_fresh(h_init) == FreshnessVerdict(False, "2a")
+
+
+def test_read_path_hashes_no_query_kind(monkeypatch):
+    """Reveals and freshness reads index plain handles and names: on a world
+    of 20 honest exchanges, 21 reveals and 40 is_fresh calls hash no
+    QueryKind. Equal verdicts are one shared, frozen object."""
+    world = make_world()
+    handles = [h for _ in range(20) for h in run_honest_exchange(world, "alice", "bob")]
+    hashes = []
+    real = QueryKind.__hash__
+    monkeypatch.setattr(QueryKind, "__hash__", lambda kind: hashes.append(kind) or real(kind))
+    for handle in handles[:10]:
+        world.eph_reveal(handle)
+    for handle in handles[20:30]:
+        world.key_reveal(handle)
+    world.private_reveal("alice")
+    verdicts = [world.is_fresh(handle) for handle in handles]
+    assert hashes == []
+    assert [v.violated_clause for v in verdicts[:10]] == ["2a", "2b"] * 5
+    assert {v.violated_clause for v in verdicts[20:30]} == {"1"}
+    assert verdicts[0] is world.is_fresh(handles[0])
+    assert verdicts[10] is verdicts[39] is world.is_fresh(handles[39])
+    assert verdicts[10] == FreshnessVerdict(True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdicts[10].fresh = False
+
+
+def test_reveal_indexes_route_by_kind():
+    """Each reveal enters the index its clauses read, and only that one:
+    checked by verdicts on one matched and one unmatched world."""
+    world = make_world()
+    h_sid, h_star = run_honest_exchange(world, "alice", "bob")
+
+    # eph, key and private reveals, then a cleared log: fresh again
+    world.eph_reveal(h_sid)
+    world.key_reveal(h_star)
+    world.private_reveal("alice")
+    world.private_reveal("bob")
+    assert world.is_fresh(h_sid) == FreshnessVerdict(False, "1")
+    world._clear_queries()
+    assert world.is_fresh(h_sid) == FreshnessVerdict(True)
+    assert world.is_fresh(h_star) == FreshnessVerdict(True)
+
+    # ephemeral reveals of both sides never reach clause 1
+    world.eph_reveal(h_sid)
+    world.eph_reveal(h_star)
+    assert world.is_fresh(h_sid) == FreshnessVerdict(True)
+    world.private_reveal("alice")
+    assert world.is_fresh(h_sid) == FreshnessVerdict(False, "2a")
+    assert world.is_fresh(h_star) == FreshnessVerdict(False, "2b")
+    world._clear_queries()
+
+    # a key reveal never reaches 2a or 2b, with both parties corrupted
+    world.private_reveal("alice")
+    world.private_reveal("bob")
+    world.key_reveal(h_star)
+    assert world.is_fresh(h_sid) == FreshnessVerdict(False, "1")
+    assert world.is_fresh(h_star) == FreshnessVerdict(False, "1")
+    world._clear_queries()
+
+    # Test and Guess name a session but enter neither reveal index: with
+    # both parties corrupted, an entry would read as 1, 2a or 2b
+    world.test(h_sid)
+    world.guess(0)
+    world.private_reveal("alice")
+    world.private_reveal("bob")
+    assert [record.kind for record in world.log] == [
+        QueryKind.TEST,
+        QueryKind.GUESS,
+        QueryKind.PRIVATE_KEY_REVEAL,
+        QueryKind.PRIVATE_KEY_REVEAL,
+    ]
+    assert world.is_fresh(h_sid) == FreshnessVerdict(True)
+    assert world.is_fresh(h_star) == FreshnessVerdict(True)
+
+    # no matching session: a key reveal never reaches 3a
+    world = make_world()
+    h_sid, _ = world.activate("alice", "bob", Role.INITIATOR)
+    _, r_other = world.activate("bob", "alice", Role.RESPONDER)
+    world.deliver(h_sid, r_other**2)
+    world.private_reveal("alice")
+    world.key_reveal(h_sid)
+    assert world.is_fresh(h_sid) == FreshnessVerdict(False, "1")
+    world._clear_queries()
+    world.private_reveal("alice")
+    world.eph_reveal(h_sid)
+    assert world.is_fresh(h_sid) == FreshnessVerdict(False, "3a")
 
 
 @pytest.mark.parametrize("later_accepts_first", [False, True], ids=["in-order", "later-first"])

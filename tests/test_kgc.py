@@ -5,7 +5,7 @@ import random
 import pytest
 
 from idak import KGC, GroupParams, dlog, hash_to_group, pair
-from idak.errors import CapabilityError
+from idak.errors import CapabilityError, EmptyIdentityError, ParameterError
 
 
 def make_kgc(seed=7, q=101, **kw):
@@ -31,6 +31,19 @@ def test_extract_idempotent():
     kgc = make_kgc()
     first = kgc.extract("alice")
     assert kgc.extract("alice") is first
+
+
+def test_extract_rejects_non_str_identity():
+    """An identity that is not a str fails with ParameterError (it used to
+    be AttributeError from hashing) before the registry is written; an
+    empty one keeps its EmptyIdentityError."""
+    kgc = make_kgc()
+    for identity in (7, b"alice", ["alice"]):
+        with pytest.raises(ParameterError):
+            kgc.extract(identity)
+    with pytest.raises(EmptyIdentityError):
+        kgc.extract("")
+    assert kgc._registry == {}
 
 
 def test_extract_consistency_with_master_key():

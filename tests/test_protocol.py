@@ -94,6 +94,24 @@ def test_start_session_shape():
         start_session(kgc.params, alice, "", Role.INITIATOR, Variant.HARDENED, rng)
 
 
+@pytest.mark.parametrize(
+    "peer,variant",
+    [(5, Variant.HARDENED), ("bob", "original")],
+    ids=["int-peer", "str-variant"],
+)
+def test_start_session_rejects_wrong_typed_inputs(peer, variant):
+    """A peer that is not a str (it used to fail only at completion, with
+    AttributeError) or a variant that is not a Variant (a string used to
+    run the hardened arithmetic) fails before the ephemeral draw."""
+    rng = random.Random(4)
+    kgc = KGC(rng, GroupParams(DEFAULT_Q))
+    alice = kgc.extract("alice")
+    state = rng.getstate()
+    with pytest.raises(ParameterError):
+        start_session(kgc.params, alice, peer, Role.INITIATOR, variant, rng)
+    assert rng.getstate() == state
+
+
 def test_ephemeral_collisions_only_repeat_the_element():
     """One owner, many sessions: equal scalars force equal outgoing
     elements, and at q = 1000003 a 10k batch does collide."""
