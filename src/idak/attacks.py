@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .ecksim import World, run_honest_exchange, two_party_world
+from .errors import ParameterError
 from .group import DEFAULT_Q, GElem, dlog, pair, random_scalar
 from .oracles import hash_to_group, key_digest
 from .protocol import (
@@ -163,11 +164,11 @@ def run_uks(variant: Variant, seed: int, q: int = DEFAULT_Q) -> AttackReport:
     world.deliver(h_a, r_b)
     events.append("adversary relayed bob's response to alice; alice accepted, believing bob")
 
-    key_eve = complete_session(e_sess, r_b, eve, world.params)
+    complete_session(e_sess, r_b, eve, world.params)
     knowledge = [
         "private_key:eve",
         "ephemeral_scalar:eve_session",
-        f"session_key_with_bob_digest:{key_digest(key_eve)}",
+        f"session_key_with_bob_digest:{key_digest(e_sess.key)}",
     ]
 
     parties = [_party_record(world, h_a), _party_record(world, h_b)]
@@ -243,7 +244,14 @@ def run_kci_attempt(
     identity point, whose master-key power is exactly bob's private key,
     and only when bob is corrupted too. The script records candidates
     only in branches whose inputs the adversary actually holds.
+    An x_choice that is not an XChoice, or a corrupt_b that is not a
+    bool, is rejected before the world is built.
     """
+    # a string x_choice would silently run the random-element branch
+    if not isinstance(x_choice, XChoice):
+        raise ParameterError(f"x_choice must be an XChoice, not {type(x_choice).__name__}")
+    if type(corrupt_b) is not bool:
+        raise ParameterError(f"corrupt_b must be a bool, not {type(corrupt_b).__name__}")
     variant = Variant.ORIGINAL
     world = two_party_world(seed, variant, q)
     group = world.params

@@ -3,10 +3,11 @@
 The adversary owns the wire. Sessions only ever complete through
 `deliver`, with whatever element the adversary chooses to hand over, and
 `deliver` returns nothing: keys stay inside the world unless a reveal
-query exposes them. Reveal queries (ephemeral scalar, long-term key,
-session key, extraction of fresh identities) are appended to a query
-log; the freshness rule is a pure function of that log and of which
-sessions accepted over which transcripts. `World` keeps four indexes in
+query or the Test query reads them, and only a read derives a key.
+Reveal queries (ephemeral scalar, long-term key, session key, extraction
+of fresh identities) are appended to a query log; the freshness rule is
+a pure function of that log and of which sessions accepted over which
+transcripts. `World` keeps four indexes in
 step with that state, all keyed by plain values (handles, names and
 exponents), so a verdict costs a few lookups however many sessions and
 queries there are. The accepted map `_accepted`, updated in `deliver`,
@@ -45,10 +46,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ParameterError, QueryError, SessionStateError
 from .group import DEFAULT_Q, GElem, GroupParams
-from .kgc import KGC, IdentityKey, check_identity
+from .kgc import KGC, IdentityKey, check_identity, check_master_key_reveal
 from .oracles import KEY_BYTES
 from .protocol import (
     Role,
@@ -78,8 +80,10 @@ _EPHEMERAL = QueryKind.EPHEMERAL_KEY_REVEAL
 _SESSION_KEY = QueryKind.SESSION_KEY_REVEAL
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
+    """One logged adversary query: a NamedTuple, so it is immutable and
+    cheap to build on every reveal."""
+
     kind: QueryKind
     session: int | None = None
     identity: str | None = None
@@ -133,6 +137,11 @@ class World:
     ) -> None:
         if not isinstance(variant, Variant):
             raise ParameterError(f"variant must be a Variant, not {type(variant).__name__}")
+        # random.Random(None) seeds from OS entropy, and the report's "seed"
+        # must replay the world: only a plain int is taken
+        if type(seed) is not int:
+            raise ParameterError(f"seed must be an int, not {type(seed).__name__}")
+        check_master_key_reveal(master_key_reveal)
         self.seed = seed
         self.variant = variant
         self.rng = random.Random(seed)
@@ -175,7 +184,8 @@ class World:
 
     def deliver(self, handle: int, element: GElem) -> None:
         """Hand an element of the adversary's choice to a session. The
-        session completes (or rejects); nothing is returned."""
+        session accepts (or rejects); nothing is returned, and the key is
+        derived only if a reveal or the Test query reads it."""
         session = self.session(handle)
         complete_session(session, element, self._party_keys(session.owner), self.params)
         key = partner_id(session_id(session))

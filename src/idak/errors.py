@@ -19,8 +19,10 @@ class InvalidElementError(IdakError):
 
 class ParameterError(IdakError, ValueError):
     """A parameter is out of range or of the wrong kind: a group order that
-    is not a usable prime, a role or variant of the wrong type, an identity
-    that is not a str, or key material that belongs to another party."""
+    is not a usable prime, group parameters, a role, variant or KCI choice
+    of the wrong type, an identity that is not a str, a seed that is not an
+    int, a master-key gate that is not a bool, or key material that belongs
+    to another party."""
 
 
 class SessionStateError(IdakError):

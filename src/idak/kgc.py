@@ -36,6 +36,10 @@ class KGC:
         group: GroupParams,
         master_key_reveal: bool = False,
     ) -> None:
+        # checked before the master key is drawn
+        if not isinstance(group, GroupParams):
+            raise ParameterError(f"group must be a GroupParams, not {type(group).__name__}")
+        check_master_key_reveal(master_key_reveal)
         self.params = group
         self._alpha = random_scalar(rng, self.params)
         self._master_key_reveal = master_key_reveal
@@ -68,3 +72,10 @@ def check_identity(identity: object) -> None:
     unknown party or EmptyIdentityError where it is hashed."""
     if not isinstance(identity, str):
         raise ParameterError(f"identity must be a str, not {type(identity).__name__}")
+
+
+def check_master_key_reveal(enabled: object) -> None:
+    """Raise ParameterError unless the master-key gate is a bool: any other
+    truthy value, the string "no" included, would open it."""
+    if type(enabled) is not bool:
+        raise ParameterError(f"master_key_reveal must be a bool, not {type(enabled).__name__}")

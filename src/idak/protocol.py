@@ -1,8 +1,11 @@
 """Two-pass key agreement: session state machine and key computation.
 
 Each party sends one element R = public_key^x for a fresh scalar x. On
-receipt of the peer's element the owner derives a shared pairing value
-and feeds it through the variant's key derivation:
+receipt of a valid element from the peer the owner accepts: the protocol
+has no key confirmation, and `complete_session` only checks the element
+and records it. The session key is derived on its first read through
+`Session.key` and kept: the owner derives a shared pairing value and
+feeds it through the variant's key derivation:
 
     original   s-values hash the ordered message pair only; the session
                key is a digest of the shared value alone.
@@ -17,7 +20,10 @@ On honest runs both products land on the exponent
     base_init * base_resp * master * (x_init + s_i) * (x_resp + s_r)
 
 so the two sides agree. The toy group's co-factor h is 1, so no power of
-it appears in the arithmetic.
+it appears in the arithmetic. Derivation draws nothing from the RNG and
+cannot fail once `complete_session` has accepted, so when a key is read
+changes no output byte. In the eCK game a key is seen only through a
+session-key reveal or the Test query, and most keys are never read.
 """
 
 from __future__ import annotations
@@ -72,7 +78,19 @@ class Session:
     r_out: GElem
     r_in: GElem | None = None
     status: Status = field(default=Status.ACTIVE)
-    key: bytes | None = None
+    # the owner's key material, set on acceptance, and the key once read;
+    # neither is printed or compared, so reading a key changes no equality
+    _keys: IdentityKey | None = field(default=None, repr=False, compare=False)
+    _key: bytes | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def key(self) -> bytes | None:
+        """The session key: None while Active, derived on the first read
+        after acceptance and kept for every later read."""
+        key = self._key
+        if key is None and self._keys is not None:
+            key = self._key = _derive_key(self)
+        return key
 
 
 # value identity of an accepted session: (owner, peer, is_initiator, exponents
@@ -125,7 +143,10 @@ def start_session(
     """Open a session: draw the ephemeral scalar and produce the outgoing
     element public_key^x. The session stays Active until completion.
     A peer that is not a nonempty str, or a role or variant of the wrong
-    type, is rejected before the draw."""
+    type, is rejected before the draw, and so are parameters that are
+    not a GroupParams."""
+    if not isinstance(params, GroupParams):
+        raise ParameterError(f"params must be a GroupParams, not {type(params).__name__}")
     check_identity(peer)
     if not peer:
         raise EmptyIdentityError("peer identity must be nonempty")
@@ -145,12 +166,15 @@ def complete_session(
     r_in: GElem,
     keys: IdentityKey,
     params: GroupParams,
-) -> bytes:
-    """Accept the peer's element and compute the session key.
+) -> None:
+    """Accept the peer's element. Nothing is hashed or paired here: the
+    key is derived on the first read of `session.key`.
 
     Validation happens before any state changes, so a rejected element
     leaves the session Active. The identity element is rejected: it
-    would collapse the shared value to a constant.
+    would collapse the shared value to a constant. The session's own
+    element and the key material must share the element's group, so the
+    deferred derivation cannot fail.
     """
     if session.status is not Status.ACTIVE:
         raise SessionStateError("session has already accepted")
@@ -162,20 +186,28 @@ def complete_session(
         raise GroupMismatchError("incoming element from a different group instantiation")
     if r_in.is_identity:
         raise InvalidElementError("identity element rejected as an exchange message")
+    if not (
+        same_params(session.r_out.params, params) and same_params(keys.private_key.params, params)
+    ):
+        raise GroupMismatchError("session or key material from a different group instantiation")
 
+    session.r_in = r_in
+    session._keys = keys
+    session.status = Status.ACCEPTED
+
+
+def _derive_key(session: Session) -> bytes:
+    """The key of an accepted session, by the arithmetic in the module
+    docstring. Its inputs were checked by complete_session."""
+    r_in = session.r_in
     initiator = session.role is Role.INITIATOR
     id_init, id_resp = (session.owner, session.peer) if initiator else (session.peer, session.owner)
     r_init, r_resp = (session.r_out, r_in) if initiator else (r_in, session.r_out)
     s_init, s_resp = session_scalars(session.variant, id_init, id_resp, r_init, r_resp)
     s_own, s_peer = (s_init, s_resp) if initiator else (s_resp, s_init)
-    peer_base = hash_to_group(params, session.peer)
-    shared = pair(peer_base**s_peer * r_in, keys.private_key ** (session.x + s_own))
-    key = derive_session_key(session.variant, id_init, id_resp, r_init, r_resp, shared)
-
-    session.r_in = r_in
-    session.key = key
-    session.status = Status.ACCEPTED
-    return key
+    peer_base = hash_to_group(r_in.params, session.peer)
+    shared = pair(peer_base**s_peer * r_in, session._keys.private_key ** (session.x + s_own))
+    return derive_session_key(session.variant, id_init, id_resp, r_init, r_resp, shared)
 
 
 def session_id(session: Session) -> SessionId:

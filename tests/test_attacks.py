@@ -14,7 +14,8 @@ from idak import (
     run_master_key_break,
     run_uks,
 )
-from idak.errors import CapabilityError
+from idak import attacks
+from idak.errors import CapabilityError, ParameterError
 
 VARIANTS = (Variant.ORIGINAL, Variant.HARDENED)
 
@@ -143,6 +144,18 @@ def test_kci_reports_reproducible():
     a = run_kci_attempt(9, XChoice.RANDOM_ELEMENT, True).to_json()
     b = run_kci_attempt(9, XChoice.RANDOM_ELEMENT, True).to_json()
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "x_choice,corrupt_b",
+    [("random_element", False), ("identity_point_of_b", True), (XChoice.RANDOM_ELEMENT, 1)],
+)
+def test_kci_rejects_wrong_typed_choices(monkeypatch, x_choice, corrupt_b):
+    """A string x_choice used to run the random-element branch silently;
+    it, and a corrupt_b that is not a bool, fail before the world is built."""
+    monkeypatch.setattr(attacks, "two_party_world", None)
+    with pytest.raises(ParameterError):
+        run_kci_attempt(0, x_choice, corrupt_b)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from idak import (
     GroupParams,
     Outcome,
     QueryKind,
+    QueryRecord,
     Role,
     Status,
     Variant,
@@ -27,6 +29,7 @@ from idak import (
 )
 from idak import ecksim, group, oracles, protocol
 from idak.errors import (
+    CapabilityError,
     EmptyIdentityError,
     IdakError,
     ParameterError,
@@ -521,9 +524,9 @@ def eve_peer_adversary(variant, seed):
     )
     h_bob, r_bob = world.activate("bob", "eve", Role.RESPONDER)
     world.deliver(h_bob, r_e)
-    key_eve = complete_session(e_sess, r_bob, eve, world.params)
+    complete_session(e_sess, r_bob, eve, world.params)
     answer = world.test(h_bob)
-    world.guess(0 if answer == key_eve else 1)
+    world.guess(0 if answer == e_sess.key else 1)
     return world.experiment_report("eve-peer")
 
 
@@ -686,7 +689,9 @@ def test_is_fresh_cost_does_not_grow_with_sessions(monkeypatch):
 
 def test_truth_table_builds_each_branch_once(monkeypatch):
     """The 80 rows run on two worlds, one exchange each: 4 session starts
-    and 4 pairings, while every row still gets its own is_fresh verdict."""
+    and 3 pairings, one per key the rows reveal (the unmatched branch
+    never reads bob's key), while every row still gets its own is_fresh
+    verdict."""
     counts = {"pair": 0, "start_session": 0, "is_fresh": 0}
 
     def counting(name, real):
@@ -700,7 +705,7 @@ def test_truth_table_builds_each_branch_once(monkeypatch):
     monkeypatch.setattr(ecksim, "start_session", counting("start_session", ecksim.start_session))
     monkeypatch.setattr(World, "is_fresh", counting("is_fresh", World.is_fresh))
     assert len(freshness_truth_table()) == 80
-    assert counts == {"pair": 4, "start_session": 4, "is_fresh": 80}
+    assert counts == {"pair": 3, "start_session": 4, "is_fresh": 80}
 
 
 def test_world_rejects_wrong_typed_variant_and_identities():
@@ -735,6 +740,44 @@ def test_world_rejects_wrong_typed_variant_and_identities():
             call()
 
 
+def test_query_record_is_an_immutable_tuple():
+    record = QueryRecord(QueryKind.SESSION_KEY_REVEAL, session=3)
+    assert (record.identity, record.bit) == (None, None)
+    with pytest.raises(AttributeError):
+        record.session = 4
+    assert record.to_json() == {"query": "SessionKeyReveal", "session": 3}
+    assert QueryRecord(QueryKind.GUESS, bit=0).to_json() == {"query": "Guess", "bit": 0}
+
+
+def no_rng(seed):
+    raise AssertionError("an RNG was built")
+
+
+@pytest.mark.parametrize("seed", [None, "1", 1.0, True])
+def test_world_rejects_a_seed_that_is_not_an_int(monkeypatch, seed):
+    """random.Random(None) seeds from OS entropy, so two runs of one script
+    used to differ while both reported "seed": null; a str, float or bool
+    seed is refused too, before any RNG is built."""
+    monkeypatch.setattr(ecksim, "random", types.SimpleNamespace(Random=no_rng))
+    with pytest.raises(ParameterError):
+        World(seed)
+    with pytest.raises(ParameterError):
+        run_random_guess_adversary(Variant.HARDENED, seed)
+
+
+@pytest.mark.parametrize("gate", ["no", 0, 1, None])
+def test_world_master_key_gate_must_be_a_bool(monkeypatch, gate):
+    """A truthy non-bool gate such as "no" used to open the master-key
+    reveal; any gate that is not a bool is refused before any RNG is built,
+    and the bool False keeps the gate shut."""
+    with monkeypatch.context() as patched:
+        patched.setattr(ecksim, "random", types.SimpleNamespace(Random=no_rng))
+        with pytest.raises(ParameterError):
+            World(0, master_key_reveal=gate)
+    with pytest.raises(CapabilityError):
+        World(0, master_key_reveal=False).kgc.reveal_master_key()
+
+
 def test_second_world_skips_order_validation(monkeypatch):
     """Only the first World at an order runs the primality test."""
     monkeypatch.setattr(group, "_validated_orders", set())
@@ -750,13 +793,20 @@ def test_second_world_skips_order_validation(monkeypatch):
 
 @pytest.mark.parametrize("variant", [Variant.ORIGINAL, Variant.HARDENED])
 def test_honest_exchange_hashes_no_identity(monkeypatch, variant):
-    """Once the parties' identity points are known, an honest exchange runs
-    sha256 six times: two scalars and one key per side."""
+    """An honest exchange accepts on both sides without hashing or pairing.
+    Once the parties' identity points are known, reading both keys runs
+    sha256 six times (two scalars and one key per side) and pairs twice;
+    a second read runs nothing."""
     world = make_world(variant=variant)
     run_honest_exchange(world, "alice", "bob")
-    real = oracles._digest
-    calls = []
-    monkeypatch.setattr(oracles, "_digest", lambda data: calls.append(data) or real(data))
-    run_honest_exchange(world, "alice", "bob")
-    assert len(calls) == 6
-    assert not any(data.startswith(b"H1G") for data in calls)
+    real_digest, real_pair = oracles._digest, protocol.pair
+    digests, pairings = [], []
+    monkeypatch.setattr(oracles, "_digest", lambda data: digests.append(data) or real_digest(data))
+    monkeypatch.setattr(protocol, "pair", lambda a, b: pairings.append(1) or real_pair(a, b))
+    handles = run_honest_exchange(world, "alice", "bob")
+    assert (len(digests), len(pairings)) == (0, 0)
+    keys = [world.session(handle).key for handle in handles]
+    assert (len(digests), len(pairings)) == (6, 2)
+    assert not any(data.startswith(b"H1G") for data in digests)
+    assert [world.session(handle).key for handle in handles] == keys
+    assert (len(digests), len(pairings)) == (6, 2)

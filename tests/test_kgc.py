@@ -70,3 +70,24 @@ def test_reveal_gate():
     with pytest.raises(CapabilityError):
         make_kgc().reveal_master_key()
     assert isinstance(make_kgc(master_key_reveal=True).reveal_master_key(), int)
+
+
+@pytest.mark.parametrize("gate", ["no", 1, None])
+def test_master_key_gate_must_be_a_bool(gate):
+    """KGC(..., master_key_reveal="no") used to hand out the master key;
+    a gate that is not a bool fails before the master key is drawn."""
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ParameterError):
+        KGC(rng, GroupParams(101), master_key_reveal=gate)
+    assert rng.getstate() == state
+
+
+def test_kgc_rejects_non_group_params():
+    """An int order where the GroupParams belong used to fail with
+    AttributeError; it fails before the master key is drawn."""
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ParameterError):
+        KGC(rng, 101)
+    assert rng.getstate() == state

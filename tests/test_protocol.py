@@ -23,6 +23,7 @@ from idak import (
     transcript_record,
     transcript_scalar,
 )
+from idak import oracles, protocol
 from idak.errors import (
     EmptyIdentityError,
     GroupMismatchError,
@@ -43,9 +44,9 @@ def handshake(variant, seed, q=DEFAULT_Q, initiator="alice", responder="bob"):
     resp_keys = kgc.extract(responder)
     a_sess, r_a = start_session(kgc.params, init_keys, responder, Role.INITIATOR, variant, rng)
     b_sess, r_b = start_session(kgc.params, resp_keys, initiator, Role.RESPONDER, variant, rng)
-    key_b = complete_session(b_sess, r_a, resp_keys, kgc.params)
-    key_a = complete_session(a_sess, r_b, init_keys, kgc.params)
-    return kgc, a_sess, b_sess, key_a, key_b
+    complete_session(b_sess, r_a, resp_keys, kgc.params)
+    complete_session(a_sess, r_b, init_keys, kgc.params)
+    return kgc, a_sess, b_sess, a_sess.key, b_sess.key
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -112,6 +113,68 @@ def test_start_session_rejects_wrong_typed_inputs(peer, variant):
     assert rng.getstate() == state
 
 
+def test_start_session_rejects_non_group_params():
+    """An int where the GroupParams belong used to fail mid-session with
+    AttributeError; it fails before the ephemeral draw."""
+    rng = random.Random(4)
+    kgc = KGC(rng, GroupParams(DEFAULT_Q))
+    alice = kgc.extract("alice")
+    state = rng.getstate()
+    with pytest.raises(ParameterError):
+        start_session(101, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
+    assert rng.getstate() == state
+
+
+def accepted_pair(variant, seed, q):
+    """An honest alice/bob exchange completed on both sides, keys unread."""
+    rng = random.Random(seed)
+    kgc = KGC(rng, GroupParams(q), master_key_reveal=True)
+    alice, bob = kgc.extract("alice"), kgc.extract("bob")
+    a_sess, r_a = start_session(kgc.params, alice, "bob", Role.INITIATOR, variant, rng)
+    b_sess, r_b = start_session(kgc.params, bob, "alice", Role.RESPONDER, variant, rng)
+    complete_session(b_sess, r_a, bob, kgc.params)
+    complete_session(a_sess, r_b, alice, kgc.params)
+    return kgc, a_sess, b_sess
+
+
+@pytest.mark.parametrize("q", [101, DEFAULT_Q])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("first", ["initiator", "responder"])
+def test_key_is_derived_on_first_read(monkeypatch, first, variant, q):
+    """Each key equals the raw-exponent reference whichever side is read
+    first. An Active session's key is None and hashes nothing, the repr
+    never shows the raw key, and reading a key changes no equality."""
+    real_digest, real_pair = oracles._digest, protocol.pair
+    calls = []
+    monkeypatch.setattr(oracles, "_digest", lambda data: calls.append(data) or real_digest(data))
+    monkeypatch.setattr(protocol, "pair", lambda a, b: calls.append(b"pair") or real_pair(a, b))
+    rng = random.Random(3)
+    kgc = KGC(rng, GroupParams(q))
+    alice = kgc.extract("alice")
+    active, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, variant, rng)
+    calls.clear()
+    assert active.key is None
+    with pytest.raises(InvalidElementError):
+        complete_session(active, kgc.params.g**0, alice, kgc.params)
+    assert active.key is None
+    assert calls == []
+
+    for seed in range(10):
+        kgc, a_sess, b_sess = accepted_pair(variant, seed, q)
+        twin_a, twin_b = accepted_pair(variant, seed, q)[1:]
+        assert (a_sess, b_sess) == (twin_a, twin_b)
+        want = reference_session_key(
+            variant.value, q, 1, kgc.reveal_master_key(), "alice", "bob", a_sess.x, b_sess.x
+        )
+        order = (a_sess, b_sess) if first == "initiator" else (b_sess, a_sess)
+        assert [session.key for session in order] == [want, want]
+        assert (a_sess, b_sess) == (twin_a, twin_b)
+        for session in (a_sess, b_sess):
+            assert want.hex() not in repr(session)
+            assert repr(want) not in repr(session)
+            assert repr(session) == repr(twin_a if session is a_sess else twin_b)
+
+
 def test_ephemeral_collisions_only_repeat_the_element():
     """One owner, many sessions: equal scalars force equal outgoing
     elements, and at q = 1000003 a 10k batch does collide."""
@@ -164,9 +227,9 @@ def test_hardened_binds_identities():
         a1, r1 = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
         a2 = type(a1)(a1.owner, "carol", a1.role, a1.variant, a1.x, a1.r_out)
         b_sess, r_b = start_session(kgc.params, bob, "alice", Role.RESPONDER, Variant.HARDENED, rng)
-        key_to_bob = complete_session(a1, r_b, alice, kgc.params)
-        key_to_carol = complete_session(a2, r_b, alice, kgc.params)
-        assert key_to_bob != key_to_carol
+        complete_session(a1, r_b, alice, kgc.params)
+        complete_session(a2, r_b, alice, kgc.params)
+        assert a1.key != a2.key
 
 
 def test_original_ignores_believed_peer_only_in_scalars():
@@ -179,9 +242,9 @@ def test_original_ignores_believed_peer_only_in_scalars():
     a1, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, variant, rng)
     a2 = type(a1)(a1.owner, "carol", a1.role, a1.variant, a1.x, a1.r_out)
     r_b = kgc.params.g**77
-    assert complete_session(a1, r_b, alice, kgc.params) != complete_session(
-        a2, r_b, alice, kgc.params
-    )
+    complete_session(a1, r_b, alice, kgc.params)
+    complete_session(a2, r_b, alice, kgc.params)
+    assert a1.key != a2.key
 
 
 def test_complete_rejects_identity_element():
@@ -223,6 +286,12 @@ def test_neighbouring_orders_do_not_mix():
     session, _ = start_session(p101, alice, "bob", Role.INITIATOR, Variant.ORIGINAL, rng)
     with pytest.raises(GroupMismatchError):
         complete_session(session, p103.g**3, alice, p101)
+    # the key is derived later, so its other inputs are checked at acceptance
+    alice_103 = KGC(rng, p103).extract("alice")
+    with pytest.raises(GroupMismatchError):
+        complete_session(session, p101.g**3, alice_103, p101)
+    with pytest.raises(GroupMismatchError):
+        complete_session(session, p103.g**3, alice_103, p103)
     assert session.status is Status.ACTIVE
 
 
