@@ -242,8 +242,12 @@ def run_kci_attempt(
     adversary's candidate computation needs X raised to the master key.
     The one substitution that makes that term available is X = bob's
     identity point, whose master-key power is exactly bob's private key,
-    and only when bob is corrupted too. The script records candidates
-    only in branches whose inputs the adversary actually holds.
+    and only when bob is corrupted too. So the one cell whose `success`
+    is true corrupts bob: that is impersonation with bob's own key, not
+    KCI, and the game judges alice's session unfresh under clause 3b
+    (no matching session, peer corrupted). With bob uncorrupted no cell
+    succeeds, so Wang's KCI claim stands here. The script records
+    candidates only in branches whose inputs the adversary actually holds.
     An x_choice that is not an XChoice, or a corrupt_b that is not a
     bool, is rejected before the world is built.
     """

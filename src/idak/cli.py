@@ -5,14 +5,21 @@ one-line human summary to stderr. Output is a pure function of the flags:
 rerunning a command with identical flags reproduces identical bytes.
 Exit status is 0 whenever the run completes; whether an attack succeeded
 is data in the JSON, not an exit code.
+
+Documents are rendered exactly as `json.dumps(doc, indent=2)` would render
+them, byte for byte, by `_render`. With `indent` set, json on Python 3.11
+does not use its C encoder: it walks the document through a chain of
+Python generators, at about twice the cost. `_render` walks only the
+containers in Python and hands every string to json's C escaper and
+every number to `int.__repr__` or `float.__repr__`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from .attacks import (
     XChoice,
@@ -195,10 +202,51 @@ _COMMANDS = {
 }
 
 
+_INFINITY = float("inf")
+
+
+def _render(value: object, indent: str) -> str:
+    """`json.dumps(value, indent=2)` for a value nested `indent` deep: the
+    same bytes, the same NaN and Infinity spellings, and the same TypeError
+    for a type json cannot encode. Object keys must be str."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_escape(key) + ": " + _render(item, inner) for key, item in value.items()]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_render(item, inner) for item in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     doc, summary = _COMMANDS[args.command](args)
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _render(doc, "") + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -74,10 +74,16 @@ class QueryKind(Enum):
     GUESS = "Guess"
 
 
-# module names for the kinds _record routes: reading a member off the enum
-# class costs a Python-level lookup, a global does not
+# module names for the kinds: reading a member off the enum class costs a
+# Python-level lookup, a global does not. _record routes on the first two,
+# and World builds every QueryRecord from them positionally, at a little
+# over half the cost of passing its fields by keyword
 _EPHEMERAL = QueryKind.EPHEMERAL_KEY_REVEAL
 _SESSION_KEY = QueryKind.SESSION_KEY_REVEAL
+_PRIVATE_KEY = QueryKind.PRIVATE_KEY_REVEAL
+_EXTRACT = QueryKind.EXTRACT
+_TEST = QueryKind.TEST
+_GUESS = QueryKind.GUESS
 
 
 class QueryRecord(NamedTuple):
@@ -244,7 +250,7 @@ class World:
     def eph_reveal(self, handle: int) -> int:
         """Reveal a session's ephemeral scalar."""
         session = self.session(handle)
-        self._record(QueryRecord(QueryKind.EPHEMERAL_KEY_REVEAL, session=handle))
+        self._record(QueryRecord(_EPHEMERAL, handle))
         return session.x
 
     def key_reveal(self, handle: int) -> bytes:
@@ -252,14 +258,14 @@ class World:
         session = self.session(handle)
         if session.status is not Status.ACCEPTED:
             raise SessionStateError("session key exists only after acceptance")
-        self._record(QueryRecord(QueryKind.SESSION_KEY_REVEAL, session=handle))
+        self._record(QueryRecord(_SESSION_KEY, handle))
         return session.key
 
     def private_reveal(self, identity: str) -> IdentityKey:
         """Reveal a registered party's long-term key material."""
         check_identity(identity)
         keys = self._party_keys(identity)
-        self._record(QueryRecord(QueryKind.PRIVATE_KEY_REVEAL, identity=identity))
+        self._record(QueryRecord(_PRIVATE_KEY, None, identity))
         return keys
 
     def adv_extract(self, identity: str) -> IdentityKey:
@@ -270,7 +276,7 @@ class World:
         if identity in self._parties:
             raise QueryError(f"{identity!r} is already a registered party")
         keys = self.kgc.extract(identity)
-        self._record(QueryRecord(QueryKind.EXTRACT, identity=identity))
+        self._record(QueryRecord(_EXTRACT, None, identity))
         return keys
 
     # -- freshness ----------------------------------------------------------
@@ -310,7 +316,7 @@ class World:
             raise SessionStateError("only an accepted session can be tested")
         self._test_handle = handle
         self._test_bit = self.rng.getrandbits(1)
-        self._record(QueryRecord(QueryKind.TEST, session=handle))
+        self._record(QueryRecord(_TEST, handle))
         if self._test_bit == 0:
             return session.key
         return self.rng.randbytes(KEY_BYTES)
@@ -326,7 +332,7 @@ class World:
         if type(bit) is not int or bit not in (0, 1):
             raise QueryError("guess bit must be the int 0 or 1")
         self._guess_bit = bit
-        self._record(QueryRecord(QueryKind.GUESS, bit=bit))
+        self._record(QueryRecord(_GUESS, None, None, bit))
         verdict = self.is_fresh(self._test_handle)
         if not verdict.fresh:
             self._outcome = Outcome.INVALID
@@ -420,17 +426,32 @@ _ATOMS_MATCHED = (
 _ATOMS_UNMATCHED = tuple(atom for atom in _ATOMS_MATCHED if "sid*" not in atom)
 
 
+def _row_plan(atoms: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """Every subset of atoms in atom order, the subset of mask m at index m
+    (bit i of m selects atoms[i]): the rows of one truth-table branch."""
+    return tuple(
+        tuple(atom for i, atom in enumerate(atoms) if mask >> i & 1)
+        for mask in range(1 << len(atoms))
+    )
+
+
+_ROWS_MATCHED = _row_plan(_ATOMS_MATCHED)
+_ROWS_UNMATCHED = _row_plan(_ATOMS_UNMATCHED)
+
+
 def freshness_truth_table(
     seed: int = 0, variant: Variant = Variant.HARDENED, q: int = DEFAULT_Q
 ) -> list[dict]:
     """Exhaustive freshness enumeration over real worlds.
 
     Each branch (matching session present or absent) builds one world and
-    runs its exchange once, honest or with a tampered response. For each
-    subset of the relevant reveal queries the world's query log is
-    cleared, the queries are issued for real, and the implementation
-    verdict is recorded: the same verdict a world built afresh for the
-    row would give, since reveals draw nothing from the RNG.
+    runs its exchange once, honest or with a tampered response. The row
+    plan, every subset of the branch's reveal queries built once at
+    import, fixes the rows and their order. For each row the world's
+    query log is cleared, the row's queries are issued for real through
+    the public reveal methods, and the implementation verdict is
+    recorded: the same verdict a world built afresh for the row would
+    give, since reveals draw nothing from the RNG.
     2^6 matched rows plus 2^4 unmatched rows, 80 in total.
     """
     rows: list[dict] = []
@@ -454,9 +475,7 @@ def freshness_truth_table(
             "EphemeralKeyReveal(sid)": (world.eph_reveal, h_sid),
             "EphemeralKeyReveal(sid*)": (world.eph_reveal, h_star),
         }
-        atoms = _ATOMS_MATCHED if matched else _ATOMS_UNMATCHED
-        for mask in range(1 << len(atoms)):
-            chosen = [atom for i, atom in enumerate(atoms) if mask >> i & 1]
+        for chosen in _ROWS_MATCHED if matched else _ROWS_UNMATCHED:
             world._clear_queries()
             for atom in chosen:
                 query, argument = reveals[atom]
@@ -465,7 +484,7 @@ def freshness_truth_table(
             rows.append(
                 {
                     "matching_session_exists": matched,
-                    "queries": chosen,
+                    "queries": list(chosen),
                     "fresh": verdict.fresh,
                     "violated_clause": verdict.violated_clause,
                 }

@@ -143,7 +143,9 @@ def test_criterion_4_master_key_break():
 
 def test_criterion_5_kci_matrix():
     """Exactly the (identity point, corrupt responder) cell succeeds;
-    the other three cells fail on all 1000 seeds each."""
+    the other three cells fail on all 1000 seeds each. The succeeding
+    cell corrupts bob, so it is impersonation with bob's own key, not
+    KCI: the game judges alice's session unfresh under clause 3b."""
     with _Timer("5 kci matrix"):
         for x_choice in XChoice:
             for corrupt_b in (False, True):

@@ -3,7 +3,9 @@
 import pytest
 
 from idak import (
+    FreshnessVerdict,
     PartyRecord,
+    Role,
     Variant,
     XChoice,
     kci_success,
@@ -15,7 +17,9 @@ from idak import (
     run_uks,
 )
 from idak import attacks
+from idak.ecksim import two_party_world
 from idak.errors import CapabilityError, ParameterError
+from idak.oracles import hash_to_group, key_digest
 
 VARIANTS = (Variant.ORIGINAL, Variant.HARDENED)
 
@@ -132,6 +136,25 @@ def test_kci_candidate_matches_victim_key_in_winning_cell():
     )
     assert candidate == report.parties[0].key_digest
     assert "private_key:bob" in report.adversary_knowledge
+
+
+def test_succeeding_kci_cell_is_not_fresh():
+    """The one succeeding KCI cell corrupts bob, so it impersonates bob with
+    bob's own key, which is not KCI. Replayed in a World, the same draws
+    give alice the same key, and her session fails clause 3b: no matching
+    session, and the peer is corrupted."""
+    for seed in range(20):
+        world = two_party_world(seed, Variant.ORIGINAL)
+        world.private_reveal("alice")
+        world.private_reveal("bob")
+        h_a, r_a = world.activate("alice", "bob", Role.INITIATOR)
+        h_b, _ = world.activate("bob", "alice", Role.RESPONDER)
+        world.deliver(h_b, r_a)
+        world.deliver(h_a, hash_to_group(world.params, "bob"))
+        assert world.is_fresh(h_a) == FreshnessVerdict(False, "3b")
+        report = run_kci_attempt(seed, XChoice.IDENTITY_POINT_OF_B, True)
+        assert report.success
+        assert report.parties[0].key_digest == key_digest(world.session(h_a).key)
 
 
 def test_kci_no_candidate_without_inputs():

@@ -1,11 +1,15 @@
 """Command-line front end: JSON documents, flags, exit codes."""
 
+import enum
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idak import cli
 from idak.cli import main
@@ -183,3 +187,60 @@ def test_reused_parser_keeps_no_state(tmp_path, capsys):
     capsys.readouterr()
     assert main(["handshake", "--seed", "3"]) == 0
     assert stdout_digest(capsys) == FROZEN_DIGESTS[("handshake", "--seed", "3", "hardened")]
+
+
+def test_cli_never_runs_the_pure_python_encoder(monkeypatch, capsys):
+    """Every frozen argv prints its frozen bytes without json's generator
+    chain, the encoder json.dumps falls back to whenever indent is set."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for key, digest in FROZEN_DIGESTS.items():
+        assert main(frozen_argv(key)) == 0
+        assert stdout_digest(capsys) == digest
+
+
+# every leaf json.dumps takes, at its edges: ints past 64 bits, -0.0, 1e22,
+# NaN and the infinities, non-ASCII, control and lone-surrogate characters
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+    st.floats(),
+    st.sampled_from((-0.0, 1e22, 1e-7, math.nan, math.inf, -math.inf)),
+    st.text(max_size=8),
+    st.text(alphabet="\x00\x1f\x7f\"\\/\n\té\u2028\ud800\U0001f600", max_size=6),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees)
+def test_render_is_json_dumps_with_indent_2(value):
+    """Trees of dicts with str keys, lists and tuples, empty ones included."""
+    assert cli._render(value, "") == json.dumps(value, indent=2)
+
+
+class _Colour(enum.Enum):
+    RED = "red"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", _Colour.RED], ids=["set", "bytes", "enum"])
+def test_render_rejects_what_json_rejects(value):
+    for doc in (value, {"rows": [1, value]}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            cli._render(doc, "")
