@@ -12,6 +12,13 @@ does not use its C encoder: it walks the document through a chain of
 Python generators, at about twice the cost. `_render` walks only the
 containers in Python and hands every string to json's C escaper and
 every number to `int.__repr__` or `float.__repr__`.
+
+`main` routes on the command word. An argv that starts with a command
+name is parsed by that command's own subparser; any other argv (empty,
+`-h`, an unknown word, a leading `--`) goes through the whole parser.
+The namespace, output and exit status are the same either way. The
+whole parser's top-level pass only matches the command word and copies
+the subparser's namespace back, yet it was about 60% of the parse cost.
 """
 
 from __future__ import annotations
@@ -94,13 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="identity-based key agreement toy: handshakes, attacks, and the distinguishing game",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("handshake", help="honest two-party run"))
-    _add_common(sub.add_parser("uks", help="identity-misbinding interception"))
-    _add_common(sub.add_parser("mkbreak", help="passive break with the master key"))
-    _add_common(sub.add_parser("kci", help="key-compromise impersonation attempt matrix"))
-    _add_common(sub.add_parser("dlog-adv", help="discrete-log distinguishing adversary"))
-    _add_common(sub.add_parser("eck-batch", help="random-guess calibration batch"), trials=True)
-    _add_common(sub.add_parser("freshness-table", help="exhaustive freshness truth table"))
+    for name, (handler, help_text) in _COMMANDS.items():
+        _add_common(sub.add_parser(name, help=help_text), trials=handler is _cmd_eck_batch)
+    # command name -> its subparser, for `_parse_args`
+    parser.commands = sub.choices
     return parser
 
 
@@ -109,6 +113,23 @@ def _parser() -> argparse.ArgumentParser:
     # built on first use, not at import: importing the CLI stays cheap, and
     # every later main call in the process reuses this one parser
     return build_parser()
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """`_parser().parse_args(argv)`, with the same namespace, output and
+    exit status for every argv, but an argv that starts with a command name
+    goes straight to that command's subparser."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def _cmd_handshake(args: argparse.Namespace) -> tuple[dict, str]:
@@ -160,8 +181,9 @@ def _cmd_dlog_adv(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _cmd_eck_batch(args: argparse.Namespace) -> tuple[dict, str]:
     counts = {"win": 0, "lose": 0, "invalid": 0}
+    variant = Variant(args.variant)
     for i in range(args.trials):
-        report = run_random_guess_adversary(Variant(args.variant), args.seed + i, args.q)
+        report = run_random_guess_adversary(variant, args.seed + i, args.q)
         counts[report["verdict"]] += 1
     doc = {
         "command": "eck-batch",
@@ -191,14 +213,15 @@ def _cmd_freshness_table(args: argparse.Namespace) -> tuple[dict, str]:
     return doc, f"freshness-table: {len(rows)} rows, {fresh} fresh"
 
 
+# command name -> (handler, help); the order is the order of `--help`
 _COMMANDS = {
-    "handshake": _cmd_handshake,
-    "uks": _cmd_uks,
-    "mkbreak": _cmd_mkbreak,
-    "kci": _cmd_kci,
-    "dlog-adv": _cmd_dlog_adv,
-    "eck-batch": _cmd_eck_batch,
-    "freshness-table": _cmd_freshness_table,
+    "handshake": (_cmd_handshake, "honest two-party run"),
+    "uks": (_cmd_uks, "identity-misbinding interception"),
+    "mkbreak": (_cmd_mkbreak, "passive break with the master key"),
+    "kci": (_cmd_kci, "key-compromise impersonation attempt matrix"),
+    "dlog-adv": (_cmd_dlog_adv, "discrete-log distinguishing adversary"),
+    "eck-batch": (_cmd_eck_batch, "random-guess calibration batch"),
+    "freshness-table": (_cmd_freshness_table, "exhaustive freshness truth table"),
 }
 
 
@@ -244,8 +267,9 @@ def _render(value: object, indent: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    doc, summary = _COMMANDS[args.command](args)
+    args = _parse_args(argv)
+    handler, _ = _COMMANDS[args.command]
+    doc, summary = handler(args)
     text = _render(doc, "") + "\n"
     if args.out:
         try:

@@ -1,7 +1,9 @@
 """Command-line front end: JSON documents, flags, exit codes."""
 
+import contextlib
 import enum
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -187,6 +189,79 @@ def test_reused_parser_keeps_no_state(tmp_path, capsys):
     capsys.readouterr()
     assert main(["handshake", "--seed", "3"]) == 0
     assert stdout_digest(capsys) == FROZEN_DIGESTS[("handshake", "--seed", "3", "hardened")]
+
+
+def _refuse_top_level_pass(monkeypatch):
+    """Make the top-level parser's own pass raise; its subparsers are other
+    objects and keep working."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran its pass")
+
+    monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
+
+
+def test_command_argvs_skip_the_top_level_pass(monkeypatch, capsys):
+    """Every frozen argv prints its frozen bytes from its command's own
+    subparser; a stray argument still exits 2 through the top-level error."""
+    _refuse_top_level_pass(monkeypatch)
+    for key, digest in FROZEN_DIGESTS.items():
+        assert main(frozen_argv(key)) == 0
+        assert stdout_digest(capsys) == digest
+    with pytest.raises(SystemExit) as exc:
+        main(["handshake", "stray"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("idak: error: unrecognized arguments: stray\n")
+
+
+def test_main_without_argv_routes_sys_argv(monkeypatch, capsys):
+    _refuse_top_level_pass(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["idak", "handshake", "--seed", "3", "--variant", "original"])
+    assert main() == 0
+    assert stdout_digest(capsys) == FROZEN_DIGESTS[("handshake", "--seed", "3", "original")]
+
+
+# every command name and an unknown word, help, each option in full,
+# abbreviated and joined to a value, valid and invalid values, `--` and `-`
+_NAMES = list(cli._COMMANDS)
+_TOKENS = [
+    *_NAMES,
+    "no-such-command",
+    "-h",
+    "--help",
+    *("--variant", "--seed", "--q", "--trials", "--out"),
+    *("--var", "--se", "--tr", "--o"),
+    *("--variant=original", "--seed=4", "--q=101", "--trials=3", "--out=/tmp/x"),
+    *("3", "-1", "x", "original", "fancy", "101", "1000004", "0", "/tmp/x"),
+    "--",
+    "-",
+]
+_argvs = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=7),
+    st.tuples(st.sampled_from(_NAMES), st.lists(st.sampled_from(_TOKENS), max_size=6)).map(
+        lambda drawn: [drawn[0], *drawn[1]]
+    ),
+)
+
+
+def _parse_outcome(parse, argv):
+    """`vars()` of the namespace, or the exit code; with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argvs)
+def test_routed_parse_matches_the_whole_parser(argv):
+    """The routed parse gives what a freshly built parser's `parse_args`
+    gives: the same namespace, or the same exit code, stdout and stderr."""
+    whole = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert _parse_outcome(cli._parse_args, argv) == whole
 
 
 def test_cli_never_runs_the_pure_python_encoder(monkeypatch, capsys):
