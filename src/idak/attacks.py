@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .ecksim import World, run_honest_exchange, two_party_world
-from .errors import ParameterError
+from .errors import require
 from .group import DEFAULT_Q, GElem, dlog, pair, random_scalar
 from .oracles import hash_to_group, key_digest
 from .protocol import (
     Role,
-    Status,
     Variant,
     complete_session,
     derive_session_key,
@@ -78,7 +77,7 @@ def _party_record(world: World, handle: int) -> PartyRecord:
     return PartyRecord(
         session.owner,
         session.peer,
-        session.status is Status.ACCEPTED,
+        session.r_in is not None,
         key_digest(session.key) if session.key else None,
     )
 
@@ -153,7 +152,7 @@ def run_uks(variant: Variant, seed: int, q: int = DEFAULT_Q) -> AttackReport:
     events.append("adversary intercepted alice's message; bob never sees it")
 
     # eve's session belongs to the adversary, so it runs outside the world
-    e_sess, r_e = start_session(world.params, eve, "bob", Role.INITIATOR, variant, world.rng)
+    e_sess, r_e = start_session(eve, "bob", Role.INITIATOR, variant, world.rng)
     events.append(f"adversary opened its own session to bob as eve, sending {r_e.hex()}")
 
     h_b, r_b = world.activate("bob", "eve", Role.RESPONDER)
@@ -164,7 +163,7 @@ def run_uks(variant: Variant, seed: int, q: int = DEFAULT_Q) -> AttackReport:
     world.deliver(h_a, r_b)
     events.append("adversary relayed bob's response to alice; alice accepted, believing bob")
 
-    complete_session(e_sess, r_b, eve, world.params)
+    complete_session(e_sess, r_b)
     knowledge = [
         "private_key:eve",
         "ephemeral_scalar:eve_session",
@@ -252,10 +251,8 @@ def run_kci_attempt(
     bool, is rejected before the world is built.
     """
     # a string x_choice would silently run the random-element branch
-    if not isinstance(x_choice, XChoice):
-        raise ParameterError(f"x_choice must be an XChoice, not {type(x_choice).__name__}")
-    if type(corrupt_b) is not bool:
-        raise ParameterError(f"corrupt_b must be a bool, not {type(corrupt_b).__name__}")
+    require(x_choice, XChoice, "x_choice")
+    require(corrupt_b, bool, "corrupt_b")
     variant = Variant.ORIGINAL
     world = two_party_world(seed, variant, q)
     group = world.params

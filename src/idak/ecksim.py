@@ -13,13 +13,14 @@ exponents), so a verdict costs a few lookups however many sessions and
 queries there are. The accepted map `_accepted`, updated in `deliver`,
 files each accepted session's handle under the `SessionId` of the
 session that would match it, its `protocol.partner_id`, so a lookup
-builds one tuple. Two sets of handles, the sessions whose key
-(`_key_revealed`) and whose ephemeral scalar (`_eph_revealed`) was
-revealed, and one set of names, the corrupted identities
-(`_corrupted`), are updated in `_record`, the one place the log grows,
-and emptied with the log in `_clear_queries`. Transcript exponents
-suffice as the match key because `complete_session` rejects elements of
-another group before anything is indexed.
+builds one tuple. A session has accepted exactly when its `r_in` is
+set. Two sets of handles, the sessions whose key (`_key_revealed`) and
+whose ephemeral scalar (`_eph_revealed`) was revealed, and one set of
+identity points, the H1G exponents of the corrupted identities at the
+world's q (`_corrupted`), are updated in `_record`, the one place the
+log grows, and emptied with the log in `_clear_queries`. Transcript
+exponents suffice as the match key because `complete_session` rejects
+elements of another group before anything is indexed.
 
 Freshness of a completed session sid with owner A and intended peer B,
 writing sid* for its matching session when one exists, fails exactly
@@ -31,9 +32,12 @@ when one of these holds:
     3a   (no sid*)     A's long-term key and sid's ephemeral both revealed
     3b   (no sid*)     B corrupted at all
 
-A party is corrupted once the log names it: its long-term key was revealed
-or the adversary extracted the identity itself. eCK requires an honest peer,
-and a peer whose key the adversary registered is not one.
+A party is corrupted once the log names its identity point: its long-term
+key was revealed, or the adversary extracted the identity itself or any
+other name that hashes to the same point, and so holds the same private
+key. Corruption follows key material, not names, as in the eCK model;
+the KGC still extracts colliding names. eCK requires an honest peer, and
+a peer whose key the adversary registered is not one.
 
 The test/guess pair plays real-or-random: `test` flips a hidden bit and
 returns either the real session key or 32 uniform bytes; `guess` wins
@@ -48,15 +52,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ParameterError, QueryError, SessionStateError
+from .errors import QueryError, SessionStateError, require
 from .group import DEFAULT_Q, GElem, GroupParams
-from .kgc import KGC, IdentityKey, check_identity, check_master_key_reveal
-from .oracles import KEY_BYTES
+from .kgc import KGC, IdentityKey
+from .oracles import KEY_BYTES, _identity_exponent
 from .protocol import (
     Role,
     Session,
     SessionId,
-    Status,
     Variant,
     complete_session,
     partner_id,
@@ -88,7 +91,8 @@ _GUESS = QueryKind.GUESS
 
 class QueryRecord(NamedTuple):
     """One logged adversary query: a NamedTuple, so it is immutable and
-    cheap to build on every reveal."""
+    cheap to build on every reveal. A PrivateKeyReveal or Extract record
+    keeps the name the adversary used."""
 
     kind: QueryKind
     session: int | None = None
@@ -141,13 +145,12 @@ class World:
         q: int = DEFAULT_Q,
         master_key_reveal: bool = False,
     ) -> None:
-        if not isinstance(variant, Variant):
-            raise ParameterError(f"variant must be a Variant, not {type(variant).__name__}")
+        require(variant, Variant, "variant")
         # random.Random(None) seeds from OS entropy, and the report's "seed"
         # must replay the world: only a plain int is taken
-        if type(seed) is not int:
-            raise ParameterError(f"seed must be an int, not {type(seed).__name__}")
-        check_master_key_reveal(master_key_reveal)
+        require(seed, int, "seed")
+        # the KGC checks the gate too, but only after the RNG exists
+        require(master_key_reveal, bool, "master_key_reveal")
         self.seed = seed
         self.variant = variant
         self.rng = random.Random(seed)
@@ -155,12 +158,13 @@ class World:
         self.params: GroupParams = self.kgc.params
         self.log: list[QueryRecord] = []
         # indexes over self.log, filled by _record: the handles of sessions
-        # whose key / ephemeral scalar was revealed, and the names that a
-        # PrivateKeyReveal or Extract record corrupted; and over the accepted
-        # sessions, filled by deliver: the partner_id of each one -> its handle
+        # whose key / ephemeral scalar was revealed, and the identity points
+        # (H1G exponents) that a PrivateKeyReveal or Extract record corrupted;
+        # and over the accepted sessions, filled by deliver: the partner_id
+        # of each one -> its handle
         self._key_revealed: set[int] = set()
         self._eph_revealed: set[int] = set()
-        self._corrupted: set[str] = set()
+        self._corrupted: set[int] = set()
         self._accepted: dict[SessionId, int] = {}
         self._parties: dict[str, IdentityKey] = {}
         self._sessions: dict[int, Session] = {}
@@ -180,9 +184,9 @@ class World:
         """Open a session at a registered party, returning its handle and
         the outgoing element (which the adversary may or may not deliver)."""
         # start_session checks the peer
-        check_identity(owner)
+        require(owner, str, "owner")
         keys = self._party_keys(owner)
-        session, r_out = start_session(self.params, keys, peer, role, self.variant, self.rng)
+        session, r_out = start_session(keys, peer, role, self.variant, self.rng)
         handle = self._next_handle
         self._next_handle += 1
         self._sessions[handle] = session
@@ -193,7 +197,7 @@ class World:
         session accepts (or rejects); nothing is returned, and the key is
         derived only if a reveal or the Test query reads it."""
         session = self.session(handle)
-        complete_session(session, element, self._party_keys(session.owner), self.params)
+        complete_session(session, element)
         key = partner_id(session_id(session))
         # sessions may accept out of creation order; the smallest handle wins
         if self._accepted.setdefault(key, handle) > handle:
@@ -227,7 +231,7 @@ class World:
             self._key_revealed.add(record.session)
         # only PrivateKeyReveal and Extract records carry an identity
         elif record.identity is not None:
-            self._corrupted.add(record.identity)
+            self._corrupted.add(_identity_exponent(record.identity, self.params.q))
 
     def _clear_queries(self) -> None:
         """Empty the query log and the indexes _record keeps over it, so the
@@ -256,14 +260,14 @@ class World:
     def key_reveal(self, handle: int) -> bytes:
         """Reveal an accepted session's key."""
         session = self.session(handle)
-        if session.status is not Status.ACCEPTED:
+        if session.r_in is None:
             raise SessionStateError("session key exists only after acceptance")
         self._record(QueryRecord(_SESSION_KEY, handle))
         return session.key
 
     def private_reveal(self, identity: str) -> IdentityKey:
         """Reveal a registered party's long-term key material."""
-        check_identity(identity)
+        require(identity, str, "identity")
         keys = self._party_keys(identity)
         self._record(QueryRecord(_PRIVATE_KEY, None, identity))
         return keys
@@ -271,8 +275,8 @@ class World:
     def adv_extract(self, identity: str) -> IdentityKey:
         """Let the adversary register its own identity with the KGC and
         collect the key material. Logged as an extraction, which corrupts
-        the identity: no session that names it as peer is fresh."""
-        check_identity(identity)
+        the identity point: no session whose peer hashes to it is fresh."""
+        require(identity, str, "identity")
         if identity in self._parties:
             raise QueryError(f"{identity!r} is already a registered party")
         keys = self.kgc.extract(identity)
@@ -287,10 +291,12 @@ class World:
         and the first violated one is reported.
 
         The match sid* is one lookup in the accepted map; the clauses then
-        test handles in the two reveal sets (key, ephemeral) and names in
-        the corrupted set. The verdict is one of six shared constants."""
+        test handles in the two reveal sets (key, ephemeral) and identity
+        points in the corrupted set: the owner's from its key material, the
+        peer's memoised H1G exponent, looked up only when clause 2b or 3b
+        can still fire. The verdict is one of six shared constants."""
         session = self.session(handle)
-        if session.status is not Status.ACCEPTED:
+        if session.r_in is None:
             raise SessionStateError("freshness is defined only for accepted sessions")
         star = self._accepted.get(session_id(session))
         keys, ephemerals, corrupted = self._key_revealed, self._eph_revealed, self._corrupted
@@ -298,9 +304,11 @@ class World:
         # star is None without a match, and None is in neither handle set
         if handle in keys or star in keys:
             return _CLAUSE_1
-        if session.owner in corrupted and handle in ephemerals:
+        if handle in ephemerals and session._keys.public_key.exp in corrupted:
             return _CLAUSE_3A if star is None else _CLAUSE_2A
-        if session.peer in corrupted and (star is None or star in ephemerals):
+        if (star is None or star in ephemerals) and (
+            _identity_exponent(session.peer, self.params.q) in corrupted
+        ):
             return _CLAUSE_3B if star is None else _CLAUSE_2B
         return _FRESH
 
@@ -312,7 +320,7 @@ class World:
         if self._test_handle is not None:
             raise QueryError("only one test query is allowed")
         session = self.session(handle)
-        if session.status is not Status.ACCEPTED:
+        if session.r_in is None:
             raise SessionStateError("only an accepted session can be tested")
         self._test_handle = handle
         self._test_bit = self.rng.getrandbits(1)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .errors import GroupMismatchError, ParameterError
+from .errors import GroupMismatchError, ParameterError, require
 
 DEFAULT_Q = 1_000_003  # smallest prime above 10**6; keeps exponents cheap to audit
 
@@ -65,8 +65,7 @@ class GroupParams:
 
     def __post_init__(self) -> None:
         # checked first: 1000003.0 would otherwise be found in the int set
-        if type(self.q) is not int:
-            raise ParameterError(f"group order must be an int, not {type(self.q).__name__}")
+        require(self.q, int, "group order")
         if self.q in _validated_orders:
             return
         if self.q <= 3 or not is_prime(self.q):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CapabilityError, ParameterError
+from .errors import CapabilityError, require
 from .group import GElem, GroupParams, random_scalar
 from .oracles import hash_to_group
 
@@ -36,10 +36,10 @@ class KGC:
         group: GroupParams,
         master_key_reveal: bool = False,
     ) -> None:
-        # checked before the master key is drawn
-        if not isinstance(group, GroupParams):
-            raise ParameterError(f"group must be a GroupParams, not {type(group).__name__}")
-        check_master_key_reveal(master_key_reveal)
+        # checked before the master key is drawn; any truthy non-bool gate,
+        # the string "no" included, would open it
+        require(group, GroupParams, "group")
+        require(master_key_reveal, bool, "master_key_reveal")
         self.params = group
         self._alpha = random_scalar(rng, self.params)
         self._master_key_reveal = master_key_reveal
@@ -48,7 +48,7 @@ class KGC:
     def extract(self, identity: str) -> IdentityKey:
         """Register an identity and return its key pair. Idempotent: the
         same identity always maps to the same material."""
-        check_identity(identity)
+        require(identity, str, "identity")
         existing = self._registry.get(identity)
         if existing is not None:
             return existing
@@ -63,19 +63,3 @@ class KGC:
         if not self._master_key_reveal:
             raise CapabilityError("master-key reveal is not enabled on this KGC")
         return self._alpha
-
-
-def check_identity(identity: object) -> None:
-    """Raise ParameterError unless identity is a str. Anything else fails
-    deep in hashing or as unhashable, or, as a peer, only once the session
-    completes; an empty string is left to the callers' own errors, an
-    unknown party or EmptyIdentityError where it is hashed."""
-    if not isinstance(identity, str):
-        raise ParameterError(f"identity must be a str, not {type(identity).__name__}")
-
-
-def check_master_key_reveal(enabled: object) -> None:
-    """Raise ParameterError unless the master-key gate is a bool: any other
-    truthy value, the string "no" included, would open it."""
-    if type(enabled) is not bool:
-        raise ParameterError(f"master_key_reveal must be a bool, not {type(enabled).__name__}")

@@ -1,9 +1,12 @@
 """Two-pass key agreement: session state machine and key computation.
 
-Each party sends one element R = public_key^x for a fresh scalar x. On
-receipt of a valid element from the peer the owner accepts: the protocol
-has no key confirmation, and `complete_session` only checks the element
-and records it. The session key is derived on its first read through
+Each party sends one element R = public_key^x for a fresh scalar x.
+`start_session` hands the session its owner's key material, once; the
+group is the one those keys live in. On receipt of a valid element from
+the peer the owner accepts: the protocol has no key confirmation, and
+`complete_session` only checks the element and records it as `r_in`,
+the one stored fact that marks acceptance (`Session.status` is read
+from it). The session key is derived on its first read through
 `Session.key` and kept: the owner derives a shared pairing value and
 feeds it through the variant's key derivation:
 
@@ -36,11 +39,11 @@ from .errors import (
     EmptyIdentityError,
     GroupMismatchError,
     InvalidElementError,
-    ParameterError,
     SessionStateError,
+    require,
 )
-from .group import GElem, GroupParams, GTElem, pair, random_scalar, same_params
-from .kgc import IdentityKey, check_identity
+from .group import GElem, GTElem, pair, random_scalar, same_params
+from .kgc import IdentityKey
 from .oracles import (
     bound_scalar,
     derive_key_bound,
@@ -68,7 +71,8 @@ class Status(Enum):
 
 @dataclass
 class Session:
-    """Mutable per-session state owned by exactly one party."""
+    """Mutable per-session state owned by exactly one party. The session
+    has accepted exactly when r_in is set."""
 
     owner: str
     peer: str
@@ -76,19 +80,24 @@ class Session:
     variant: Variant
     x: int
     r_out: GElem
+    # the owner's key material and the key once read are neither printed nor
+    # compared, so reading a key changes no equality; the key is no init
+    # argument, so dataclasses.replace never copies a derived key
+    _keys: IdentityKey = field(repr=False, compare=False)
     r_in: GElem | None = None
-    status: Status = field(default=Status.ACTIVE)
-    # the owner's key material, set on acceptance, and the key once read;
-    # neither is printed or compared, so reading a key changes no equality
-    _keys: IdentityKey | None = field(default=None, repr=False, compare=False)
-    _key: bytes | None = field(default=None, repr=False, compare=False)
+    _key: bytes | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def status(self) -> Status:
+        """ACCEPTED once an incoming element was recorded, ACTIVE before."""
+        return Status.ACTIVE if self.r_in is None else Status.ACCEPTED
 
     @property
     def key(self) -> bytes | None:
         """The session key: None while Active, derived on the first read
         after acceptance and kept for every later read."""
         key = self._key
-        if key is None and self._keys is not None:
+        if key is None and self.r_in is not None:
             key = self._key = _derive_key(self)
         return key
 
@@ -133,72 +142,55 @@ def derive_session_key(
 
 
 def start_session(
-    params: GroupParams,
     keys: IdentityKey,
     peer: str,
     role: Role,
     variant: Variant,
     rng: random.Random,
 ) -> tuple[Session, GElem]:
-    """Open a session: draw the ephemeral scalar and produce the outgoing
-    element public_key^x. The session stays Active until completion.
-    A peer that is not a nonempty str, or a role or variant of the wrong
-    type, is rejected before the draw, and so are parameters that are
-    not a GroupParams."""
-    if not isinstance(params, GroupParams):
-        raise ParameterError(f"params must be a GroupParams, not {type(params).__name__}")
-    check_identity(peer)
+    """Open a session owned by keys.identity: draw the ephemeral scalar in
+    the keys' group and produce the outgoing element public_key^x. The
+    session keeps the key material and stays Active until completion.
+    Keys that are not an IdentityKey, a peer that is not a nonempty str,
+    or a role or variant of the wrong type are rejected before the draw."""
+    require(keys, IdentityKey, "keys")
+    require(peer, str, "peer")
     if not peer:
         raise EmptyIdentityError("peer identity must be nonempty")
-    if not isinstance(role, Role):
-        raise ParameterError(f"role must be a Role, not {type(role).__name__}")
+    require(role, Role, "role")
     # any other variant would silently run the hardened arithmetic
-    if not isinstance(variant, Variant):
-        raise ParameterError(f"variant must be a Variant, not {type(variant).__name__}")
-    x = random_scalar(rng, params)
+    require(variant, Variant, "variant")
+    x = random_scalar(rng, keys.public_key.params)
     r_out = keys.public_key**x
-    session = Session(keys.identity, peer, role, variant, x, r_out)
+    session = Session(keys.identity, peer, role, variant, x, r_out, keys)
     return session, r_out
 
 
-def complete_session(
-    session: Session,
-    r_in: GElem,
-    keys: IdentityKey,
-    params: GroupParams,
-) -> None:
-    """Accept the peer's element. Nothing is hashed or paired here: the
-    key is derived on the first read of `session.key`.
+def complete_session(session: Session, r_in: GElem) -> None:
+    """Accept the peer's element by recording it as session.r_in. Nothing
+    is hashed or paired here: the key is derived on the first read of
+    `session.key`.
 
     Validation happens before any state changes, so a rejected element
-    leaves the session Active. The identity element is rejected: it
-    would collapse the shared value to a constant. The session's own
-    element and the key material must share the element's group, so the
-    deferred derivation cannot fail.
+    leaves the session Active. The element must be a source-group
+    element of the session's own group, so the deferred derivation
+    cannot fail, and must not be the identity element: that would
+    collapse the shared value to a constant.
     """
-    if session.status is not Status.ACTIVE:
+    if session.r_in is not None:
         raise SessionStateError("session has already accepted")
-    if keys.identity != session.owner:
-        raise ParameterError("key material does not belong to the session owner")
     if not isinstance(r_in, GElem):
         raise InvalidElementError("incoming message is not a source-group element")
-    if not same_params(r_in.params, params):
+    if not same_params(r_in.params, session.r_out.params):
         raise GroupMismatchError("incoming element from a different group instantiation")
     if r_in.is_identity:
         raise InvalidElementError("identity element rejected as an exchange message")
-    if not (
-        same_params(session.r_out.params, params) and same_params(keys.private_key.params, params)
-    ):
-        raise GroupMismatchError("session or key material from a different group instantiation")
-
     session.r_in = r_in
-    session._keys = keys
-    session.status = Status.ACCEPTED
 
 
 def _derive_key(session: Session) -> bytes:
     """The key of an accepted session, by the arithmetic in the module
-    docstring. Its inputs were checked by complete_session."""
+    docstring. Its inputs were checked by start_session and complete_session."""
     r_in = session.r_in
     initiator = session.role is Role.INITIATOR
     id_init, id_resp = (session.owner, session.peer) if initiator else (session.peer, session.owner)
@@ -212,7 +204,7 @@ def _derive_key(session: Session) -> bytes:
 
 def session_id(session: Session) -> SessionId:
     """SessionId of an accepted session; raises while it is still Active."""
-    if session.status is not Status.ACCEPTED:
+    if session.r_in is None:
         raise SessionStateError("session id is defined only after acceptance")
     initiator = session.role is Role.INITIATOR
     r_init, r_resp = (session.r_out, session.r_in) if initiator else (session.r_in, session.r_out)
@@ -241,8 +233,8 @@ def transcript_record(initiator: Session, responder: Session) -> dict:
         "responder": responder.owner,
         "r_initiator": initiator.r_out.hex(),
         "r_responder": responder.r_out.hex(),
-        "initiator_accepted": initiator.status is Status.ACCEPTED,
-        "responder_accepted": responder.status is Status.ACCEPTED,
+        "initiator_accepted": initiator.r_in is not None,
+        "responder_accepted": responder.r_in is not None,
         "initiator_key_digest": key_digest(initiator.key) if initiator.key else None,
         "responder_key_digest": key_digest(responder.key) if responder.key else None,
     }

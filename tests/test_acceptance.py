@@ -66,14 +66,10 @@ def test_criterion_1_key_agreement_against_exponent_oracle():
                 kgc = KGC(rng, GroupParams(DEFAULT_Q), master_key_reveal=True)
                 alice = kgc.extract("alice")
                 bob = kgc.extract("bob")
-                a_sess, r_a = start_session(
-                    kgc.params, alice, "bob", Role.INITIATOR, variant, rng
-                )
-                b_sess, r_b = start_session(
-                    kgc.params, bob, "alice", Role.RESPONDER, variant, rng
-                )
-                complete_session(b_sess, r_a, bob, kgc.params)
-                complete_session(a_sess, r_b, alice, kgc.params)
+                a_sess, r_a = start_session(alice, "bob", Role.INITIATOR, variant, rng)
+                b_sess, r_b = start_session(bob, "alice", Role.RESPONDER, variant, rng)
+                complete_session(b_sess, r_a)
+                complete_session(a_sess, r_b)
                 assert a_sess.key == b_sess.key
                 assert a_sess.key == reference_session_key(
                     variant.value,

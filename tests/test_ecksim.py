@@ -37,7 +37,7 @@ from idak.errors import (
     SessionStateError,
 )
 
-from conftest import reference_freshness
+from conftest import reference_freshness, reference_identity_exponent
 
 
 def make_world(seed=0, variant=Variant.HARDENED, q=1_000_003):
@@ -195,10 +195,24 @@ def test_peer_corruption_alone_kills_unmatched_sessions():
     assert not verdict.fresh and verdict.violated_clause == "3b"
 
 
-def assert_rows_match_reference(rows):
+def atoms_by_point(queries, q):
+    """A row's query atoms with corruption mapped by identity point: where
+    alice and bob hash to one point, a long-term reveal of either is a
+    long-term reveal of both."""
+    point = {
+        "owner": reference_identity_exponent("alice", q),
+        "peer": reference_identity_exponent("bob", q),
+    }
+    corrupted = {point[side] for side in point if f"PrivateKeyReveal({side})" in queries}
+    return {atom for atom in queries if not atom.startswith("PrivateKeyReveal")} | {
+        f"PrivateKeyReveal({side})" for side in point if point[side] in corrupted
+    }
+
+
+def assert_rows_match_reference(rows, q=group.DEFAULT_Q):
     for row in rows:
         fresh, clause = reference_freshness(
-            row["matching_session_exists"], set(row["queries"])
+            row["matching_session_exists"], atoms_by_point(row["queries"], q)
         )
         assert row["fresh"] == fresh, row
         assert row["violated_clause"] == clause, row
@@ -220,10 +234,14 @@ def test_truth_table_matches_reference():
 def test_truth_table_on_small_groups(q, seed, variant):
     """In these worlds bob's element has exponent q-1, so a tampered
     response of r_other * g would be the identity element and rejected;
-    the table must still build all 80 rows and match the reference."""
+    the table must still build all 80 rows and match the reference. At
+    q = 5, 7 and 13 alice and bob share one identity point, so the
+    reference maps the long-term reveals by point."""
+    twins = reference_identity_exponent("alice", q) == reference_identity_exponent("bob", q)
+    assert twins == (q != 11)
     rows = freshness_truth_table(seed, variant, q)
     assert len(rows) == 80
-    assert_rows_match_reference(rows)
+    assert_rows_match_reference(rows, q)
 
 
 def truth_table_world_per_row(seed, variant, q):
@@ -519,12 +537,10 @@ def eve_peer_adversary(variant, seed):
     experiment must be invalid rather than a win."""
     world = make_world(seed, variant)
     eve = world.adv_extract("eve")
-    e_sess, r_e = start_session(
-        world.params, eve, "bob", Role.INITIATOR, variant, random.Random(seed)
-    )
+    e_sess, r_e = start_session(eve, "bob", Role.INITIATOR, variant, random.Random(seed))
     h_bob, r_bob = world.activate("bob", "eve", Role.RESPONDER)
     world.deliver(h_bob, r_e)
-    complete_session(e_sess, r_bob, eve, world.params)
+    complete_session(e_sess, r_bob)
     answer = world.test(h_bob)
     world.guess(0 if answer == e_sess.key else 1)
     return world.experiment_report("eve-peer")
@@ -646,15 +662,19 @@ def scan_matching_session(world, handle, count):
 
 def log_atoms(world, handle, star):
     """The freshness atoms of session handle, read by scanning the query log;
-    an Extract record corrupts its identity as a PrivateKeyReveal does."""
+    an Extract record corrupts its identity as a PrivateKeyReveal does, and
+    a record corrupts every identity with the same point (H1G exponent)."""
     session = world.session(handle)
+    q = world.params.q
 
     def revealed(kind, target):
         return target is not None and any(r.kind is kind and r.session == target for r in world.log)
 
     def corrupted(identity):
+        point = reference_identity_exponent(identity, q)
         return any(
-            r.kind in (QueryKind.PRIVATE_KEY_REVEAL, QueryKind.EXTRACT) and r.identity == identity
+            r.kind in (QueryKind.PRIVATE_KEY_REVEAL, QueryKind.EXTRACT)
+            and reference_identity_exponent(r.identity, q) == point
             for r in world.log
         )
 
@@ -877,10 +897,9 @@ def twin_key_adversary(variant, seed):
     return world.guess(0 if answer == key else 1)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: corruption keyed by name")
 def test_twin_key_adversary_is_invalid():
     """alice's twin holds her private key, so with her ephemeral revealed
-    her session is not fresh (clause 2a). Corruption is keyed by name, so
-    the world judges it fresh and the adversary wins every seed."""
+    her session is not fresh (clause 2a): corruption follows the identity
+    point, not the name, and the adversary's correct guess is invalid."""
     outcomes = [twin_key_adversary(variant, seed) for variant in Variant for seed in range(20)]
     assert outcomes == [Outcome.INVALID] * 40

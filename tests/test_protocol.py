@@ -1,6 +1,9 @@
 """Exchange state machine: agreement, validation, matching, references."""
 
+import dataclasses
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -42,10 +45,10 @@ def handshake(variant, seed, q=DEFAULT_Q, initiator="alice", responder="bob"):
     kgc = KGC(rng, GroupParams(q), master_key_reveal=True)
     init_keys = kgc.extract(initiator)
     resp_keys = kgc.extract(responder)
-    a_sess, r_a = start_session(kgc.params, init_keys, responder, Role.INITIATOR, variant, rng)
-    b_sess, r_b = start_session(kgc.params, resp_keys, initiator, Role.RESPONDER, variant, rng)
-    complete_session(b_sess, r_a, resp_keys, kgc.params)
-    complete_session(a_sess, r_b, init_keys, kgc.params)
+    a_sess, r_a = start_session(init_keys, responder, Role.INITIATOR, variant, rng)
+    b_sess, r_b = start_session(resp_keys, initiator, Role.RESPONDER, variant, rng)
+    complete_session(b_sess, r_a)
+    complete_session(a_sess, r_b)
     return kgc, a_sess, b_sess, a_sess.key, b_sess.key
 
 
@@ -86,13 +89,13 @@ def test_start_session_shape():
     rng = random.Random(4)
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     alice = kgc.extract("alice")
-    session, r_out = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
+    session, r_out = start_session(alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
     assert session.status is Status.ACTIVE
     assert session.key is None
     assert not r_out.is_identity
     assert dlog(r_out) == dlog(alice.public_key) * session.x % DEFAULT_Q
     with pytest.raises(EmptyIdentityError):
-        start_session(kgc.params, alice, "", Role.INITIATOR, Variant.HARDENED, rng)
+        start_session(alice, "", Role.INITIATOR, Variant.HARDENED, rng)
 
 
 @pytest.mark.parametrize(
@@ -109,19 +112,19 @@ def test_start_session_rejects_wrong_typed_inputs(peer, variant):
     alice = kgc.extract("alice")
     state = rng.getstate()
     with pytest.raises(ParameterError):
-        start_session(kgc.params, alice, peer, Role.INITIATOR, variant, rng)
+        start_session(alice, peer, Role.INITIATOR, variant, rng)
     assert rng.getstate() == state
 
 
-def test_start_session_rejects_non_group_params():
-    """An int where the GroupParams belong used to fail mid-session with
-    AttributeError; it fails before the ephemeral draw."""
+def test_start_session_rejects_non_identity_keys():
+    """The session takes its owner and group from the key material, so
+    anything but an IdentityKey, the group parameters included, fails
+    before the ephemeral draw."""
     rng = random.Random(4)
-    kgc = KGC(rng, GroupParams(DEFAULT_Q))
-    alice = kgc.extract("alice")
     state = rng.getstate()
-    with pytest.raises(ParameterError):
-        start_session(101, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
+    for keys in (None, "alice", GroupParams(101)):
+        with pytest.raises(ParameterError):
+            start_session(keys, "bob", Role.INITIATOR, Variant.HARDENED, rng)
     assert rng.getstate() == state
 
 
@@ -130,10 +133,10 @@ def accepted_pair(variant, seed, q):
     rng = random.Random(seed)
     kgc = KGC(rng, GroupParams(q), master_key_reveal=True)
     alice, bob = kgc.extract("alice"), kgc.extract("bob")
-    a_sess, r_a = start_session(kgc.params, alice, "bob", Role.INITIATOR, variant, rng)
-    b_sess, r_b = start_session(kgc.params, bob, "alice", Role.RESPONDER, variant, rng)
-    complete_session(b_sess, r_a, bob, kgc.params)
-    complete_session(a_sess, r_b, alice, kgc.params)
+    a_sess, r_a = start_session(alice, "bob", Role.INITIATOR, variant, rng)
+    b_sess, r_b = start_session(bob, "alice", Role.RESPONDER, variant, rng)
+    complete_session(b_sess, r_a)
+    complete_session(a_sess, r_b)
     return kgc, a_sess, b_sess
 
 
@@ -151,11 +154,11 @@ def test_key_is_derived_on_first_read(monkeypatch, first, variant, q):
     rng = random.Random(3)
     kgc = KGC(rng, GroupParams(q))
     alice = kgc.extract("alice")
-    active, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, variant, rng)
+    active, _ = start_session(alice, "bob", Role.INITIATOR, variant, rng)
     calls.clear()
     assert active.key is None
     with pytest.raises(InvalidElementError):
-        complete_session(active, kgc.params.g**0, alice, kgc.params)
+        complete_session(active, kgc.params.g**0)
     assert active.key is None
     assert calls == []
 
@@ -182,7 +185,7 @@ def test_ephemeral_collisions_only_repeat_the_element():
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     alice = kgc.extract("alice")
     sessions = [
-        start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
+        start_session(alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
         for _ in range(10_000)
     ]
     by_x = {}
@@ -224,11 +227,11 @@ def test_hardened_binds_identities():
     alice = kgc.extract("alice")
     bob = kgc.extract("bob")
     for _ in range(1000):
-        a1, r1 = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
-        a2 = type(a1)(a1.owner, "carol", a1.role, a1.variant, a1.x, a1.r_out)
-        b_sess, r_b = start_session(kgc.params, bob, "alice", Role.RESPONDER, Variant.HARDENED, rng)
-        complete_session(a1, r_b, alice, kgc.params)
-        complete_session(a2, r_b, alice, kgc.params)
+        a1, r1 = start_session(alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
+        a2 = dataclasses.replace(a1, peer="carol")
+        b_sess, r_b = start_session(bob, "alice", Role.RESPONDER, Variant.HARDENED, rng)
+        complete_session(a1, r_b)
+        complete_session(a2, r_b)
         assert a1.key != a2.key
 
 
@@ -239,11 +242,11 @@ def test_original_ignores_believed_peer_only_in_scalars():
     rng = random.Random(6)
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     alice = kgc.extract("alice")
-    a1, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, variant, rng)
-    a2 = type(a1)(a1.owner, "carol", a1.role, a1.variant, a1.x, a1.r_out)
+    a1, _ = start_session(alice, "bob", Role.INITIATOR, variant, rng)
+    a2 = dataclasses.replace(a1, peer="carol")
     r_b = kgc.params.g**77
-    complete_session(a1, r_b, alice, kgc.params)
-    complete_session(a2, r_b, alice, kgc.params)
+    complete_session(a1, r_b)
+    complete_session(a2, r_b)
     assert a1.key != a2.key
 
 
@@ -251,11 +254,11 @@ def test_complete_rejects_identity_element():
     rng = random.Random(9)
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     alice = kgc.extract("alice")
-    session, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
+    session, _ = start_session(alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
     with pytest.raises(InvalidElementError):
-        complete_session(session, kgc.params.g**0, alice, kgc.params)
+        complete_session(session, kgc.params.g**0)
     assert session.status is Status.ACTIVE  # rejected input leaves it usable
-    complete_session(session, kgc.params.g**3, alice, kgc.params)
+    complete_session(session, kgc.params.g**3)
     assert session.status is Status.ACCEPTED
 
 
@@ -263,11 +266,11 @@ def test_complete_rejects_foreign_group():
     rng = random.Random(9)
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     alice = kgc.extract("alice")
-    session, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
+    session, _ = start_session(alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
     with pytest.raises(GroupMismatchError):
-        complete_session(session, GroupParams(101).g**3, alice, kgc.params)
+        complete_session(session, GroupParams(101).g**3)
     with pytest.raises(InvalidElementError):
-        complete_session(session, kgc.params.gt**3, alice, kgc.params)
+        complete_session(session, kgc.params.gt**3)
     assert session.status is Status.ACTIVE
 
 
@@ -283,15 +286,9 @@ def test_neighbouring_orders_do_not_mix():
     rng = random.Random(4)
     kgc = KGC(rng, p101)
     alice = kgc.extract("alice")
-    session, _ = start_session(p101, alice, "bob", Role.INITIATOR, Variant.ORIGINAL, rng)
+    session, _ = start_session(alice, "bob", Role.INITIATOR, Variant.ORIGINAL, rng)
     with pytest.raises(GroupMismatchError):
-        complete_session(session, p103.g**3, alice, p101)
-    # the key is derived later, so its other inputs are checked at acceptance
-    alice_103 = KGC(rng, p103).extract("alice")
-    with pytest.raises(GroupMismatchError):
-        complete_session(session, p101.g**3, alice_103, p101)
-    with pytest.raises(GroupMismatchError):
-        complete_session(session, p103.g**3, alice_103, p103)
+        complete_session(session, p103.g**3)
     assert session.status is Status.ACTIVE
 
 
@@ -300,17 +297,7 @@ def test_complete_twice_fails():
     rng = random.Random(0)
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     with pytest.raises(SessionStateError):
-        complete_session(a_sess, kgc.params.g**5, kgc.extract("alice"), kgc.params)
-
-
-def test_complete_requires_owner_keys():
-    rng = random.Random(9)
-    kgc = KGC(rng, GroupParams(DEFAULT_Q))
-    alice = kgc.extract("alice")
-    bob = kgc.extract("bob")
-    session, _ = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
-    with pytest.raises(ParameterError):
-        complete_session(session, kgc.params.g**5, bob, kgc.params)
+        complete_session(a_sess, kgc.params.g**5)
 
 
 def test_session_id_and_matching():
@@ -325,9 +312,7 @@ def test_session_id_and_matching():
 def test_session_id_requires_acceptance():
     rng = random.Random(3)
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
-    session, _ = start_session(
-        kgc.params, kgc.extract("alice"), "bob", Role.INITIATOR, Variant.HARDENED, rng
-    )
+    session, _ = start_session(kgc.extract("alice"), "bob", Role.INITIATOR, Variant.HARDENED, rng)
     with pytest.raises(SessionStateError):
         session_id(session)
 
@@ -339,12 +324,12 @@ def test_misdirected_sessions_do_not_match():
     rng = random.Random(10)
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     alice, bob, eve = (kgc.extract(n) for n in ("alice", "bob", "eve"))
-    a_sess, r_a = start_session(kgc.params, alice, "bob", Role.INITIATOR, variant, rng)
-    e_sess, r_e = start_session(kgc.params, eve, "bob", Role.INITIATOR, variant, rng)
-    b_sess, r_b = start_session(kgc.params, bob, "eve", Role.RESPONDER, variant, rng)
-    complete_session(b_sess, r_e, bob, kgc.params)
-    complete_session(a_sess, r_b, alice, kgc.params)
-    complete_session(e_sess, r_b, eve, kgc.params)
+    a_sess, r_a = start_session(alice, "bob", Role.INITIATOR, variant, rng)
+    e_sess, r_e = start_session(eve, "bob", Role.INITIATOR, variant, rng)
+    b_sess, r_b = start_session(bob, "eve", Role.RESPONDER, variant, rng)
+    complete_session(b_sess, r_e)
+    complete_session(a_sess, r_b)
+    complete_session(e_sess, r_b)
     assert not sessions_match(session_id(a_sess), session_id(b_sess))
     assert sessions_match(session_id(e_sess), session_id(b_sess))
 
@@ -354,10 +339,10 @@ def test_tampered_transcripts_do_not_match():
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     alice = kgc.extract("alice")
     bob = kgc.extract("bob")
-    a_sess, r_a = start_session(kgc.params, alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
-    b_sess, r_b = start_session(kgc.params, bob, "alice", Role.RESPONDER, Variant.HARDENED, rng)
-    complete_session(b_sess, r_a, bob, kgc.params)
-    complete_session(a_sess, r_b * kgc.params.g, alice, kgc.params)
+    a_sess, r_a = start_session(alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
+    b_sess, r_b = start_session(bob, "alice", Role.RESPONDER, Variant.HARDENED, rng)
+    complete_session(b_sess, r_a)
+    complete_session(a_sess, r_b * kgc.params.g)
     assert not sessions_match(session_id(a_sess), session_id(b_sess))
 
 
@@ -367,3 +352,12 @@ def test_transcript_record_carries_digests_not_keys():
     assert record["initiator_accepted"] and record["responder_accepted"]
     assert record["initiator_key_digest"] == record["responder_key_digest"]
     assert key_a.hex() not in str(record)
+
+
+def test_readme_library_example_runs():
+    """README's python block runs as written, so the documented API
+    cannot drift from the code."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
