@@ -5,19 +5,30 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CapabilityError, require
-from .group import GElem, GroupParams, random_scalar
-from .oracles import hash_to_group
+from .errors import CapabilityError, GroupMismatchError, require
+from .group import GElem, GroupParams, random_scalar, same_params
+from .oracles import hash_to_group, require_identity
 
 
 @dataclass(frozen=True)
 class IdentityKey:
     """One identity's key material. public_key is the hash-to-group image
-    of the identity; private_key is that point raised to the master secret."""
+    of the identity; private_key is that point raised to the master secret.
+    Built only from a nonempty, UTF-8-encodable identity and two elements
+    of one group: ParameterError or GroupMismatchError otherwise."""
 
     identity: str
     public_key: GElem
     private_key: GElem
+
+    def __post_init__(self) -> None:
+        # a session reads these only when its key is first read, after it
+        # accepted; checked here, a bad point cannot surface that late
+        require_identity(self.identity, "identity")
+        require(self.public_key, GElem, "public_key")
+        require(self.private_key, GElem, "private_key")
+        if not same_params(self.public_key.params, self.private_key.params):
+            raise GroupMismatchError("public and private key from different group instantiations")
 
 
 class KGC:
@@ -47,7 +58,9 @@ class KGC:
 
     def extract(self, identity: str) -> IdentityKey:
         """Register an identity and return its key pair. Idempotent: the
-        same identity always maps to the same material."""
+        same identity always maps to the same material. An empty identity,
+        or one UTF-8 cannot encode, is refused by hash_to_group before the
+        registry is written."""
         require(identity, str, "identity")
         existing = self._registry.get(identity)
         if existing is not None:

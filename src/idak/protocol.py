@@ -23,10 +23,22 @@ On honest runs both products land on the exponent
     base_init * base_resp * master * (x_init + s_i) * (x_resp + s_r)
 
 so the two sides agree. The toy group's co-factor h is 1, so no power of
-it appears in the arithmetic. Derivation draws nothing from the RNG and
-cannot fail once `complete_session` has accepted, so when a key is read
-changes no output byte. In the eCK game a key is seen only through a
-session-key reveal or the Test query, and most keys are never read.
+it appears in the arithmetic.
+
+Derivation is one pass over the transcript: `oracles.session_hashes`
+encodes each element once, frames each identity once and returns both
+s-values with the KDF input. The pairing takes the private key as it is
+and one element computed from exponents (the peer's memoised H1G
+exponent, r_in's and x + s_own): pairing private_key with
+(peer_base^s * r_in)^(x + s_own) is, by bilinearity, the value above. A
+read costs three sha256 calls, one pairing and one new source element.
+It draws nothing from the RNG and cannot fail once `complete_session`
+has accepted: `IdentityKey` checks its identity and that its two
+points are elements of one group, `start_session` that the peer is a
+nonempty str UTF-8 can encode, and `complete_session` that the element
+lies in the session's group. So when a key is read changes no output byte. In the eCK game a
+key is seen only through a session-key reveal or the Test query, and
+most keys are never read.
 """
 
 from __future__ import annotations
@@ -35,22 +47,17 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import (
-    EmptyIdentityError,
-    GroupMismatchError,
-    InvalidElementError,
-    SessionStateError,
-    require,
-)
+from .errors import GroupMismatchError, InvalidElementError, SessionStateError, require
 from .group import GElem, GTElem, pair, random_scalar, same_params
 from .kgc import IdentityKey
 from .oracles import (
-    bound_scalar,
+    _identity_exponent,
+    derive_key,
     derive_key_bound,
     derive_key_plain,
-    hash_to_group,
     key_digest,
-    transcript_scalar,
+    require_identity,
+    session_hashes,
 )
 
 
@@ -117,15 +124,9 @@ def session_scalars(
     """The (initiator, responder) scalar pair for a transcript. Both
     sides of an honest run compute identical values because the inputs
     are all public."""
-    if variant is Variant.ORIGINAL:
-        return (
-            transcript_scalar(r_init, r_resp),
-            transcript_scalar(r_resp, r_init),
-        )
-    return (
-        bound_scalar(id_init, id_resp, r_init, r_resp),
-        bound_scalar(id_resp, id_init, r_resp, r_init),
-    )
+    bound = variant is Variant.HARDENED
+    s_init, s_resp, _ = session_hashes(bound, id_init, id_resp, r_init, r_resp)
+    return s_init, s_resp
 
 
 def derive_session_key(
@@ -136,6 +137,8 @@ def derive_session_key(
     r_resp: GElem,
     shared: GTElem,
 ) -> bytes:
+    """The variant's key over a transcript and shared value: the bytes
+    `derive_key` gives for the KDF input of `session_hashes`."""
     if variant is Variant.ORIGINAL:
         return derive_key_plain(shared)
     return derive_key_bound(id_init, id_resp, r_init, r_resp, shared)
@@ -151,12 +154,11 @@ def start_session(
     """Open a session owned by keys.identity: draw the ephemeral scalar in
     the keys' group and produce the outgoing element public_key^x. The
     session keeps the key material and stays Active until completion.
-    Keys that are not an IdentityKey, a peer that is not a nonempty str,
-    or a role or variant of the wrong type are rejected before the draw."""
+    Keys that are not an IdentityKey, a peer that is not a nonempty str
+    UTF-8 can encode, or a role or variant of the wrong type are rejected
+    before the draw."""
     require(keys, IdentityKey, "keys")
-    require(peer, str, "peer")
-    if not peer:
-        raise EmptyIdentityError("peer identity must be nonempty")
+    require_identity(peer, "peer")
     require(role, Role, "role")
     # any other variant would silently run the hardened arithmetic
     require(variant, Variant, "variant")
@@ -190,16 +192,22 @@ def complete_session(session: Session, r_in: GElem) -> None:
 
 def _derive_key(session: Session) -> bytes:
     """The key of an accepted session, by the arithmetic in the module
-    docstring. Its inputs were checked by start_session and complete_session."""
-    r_in = session.r_in
-    initiator = session.role is Role.INITIATOR
-    id_init, id_resp = (session.owner, session.peer) if initiator else (session.peer, session.owner)
-    r_init, r_resp = (session.r_out, r_in) if initiator else (r_in, session.r_out)
-    s_init, s_resp = session_scalars(session.variant, id_init, id_resp, r_init, r_resp)
-    s_own, s_peer = (s_init, s_resp) if initiator else (s_resp, s_init)
-    peer_base = hash_to_group(r_in.params, session.peer)
-    shared = pair(peer_base**s_peer * r_in, session._keys.private_key ** (session.x + s_own))
-    return derive_session_key(session.variant, id_init, id_resp, r_init, r_resp, shared)
+    docstring, in one pass: one session_hashes call gives both s-values
+    and the KDF input, and the private key is paired with one element
+    built from exponents, (peer_base^s_peer * r_in)^(x + s_own), which by
+    bilinearity gives the documented shared value. Its inputs were
+    checked by IdentityKey, start_session and complete_session."""
+    r_in, r_out = session.r_in, session.r_out
+    bound = session.variant is Variant.HARDENED
+    if session.role is Role.INITIATOR:
+        s_own, s_peer, kdf_input = session_hashes(bound, session.owner, session.peer, r_out, r_in)
+    else:
+        s_peer, s_own, kdf_input = session_hashes(bound, session.peer, session.owner, r_in, r_out)
+    params = r_out.params
+    q = params.q
+    peer_term = (_identity_exponent(session.peer, q) * s_peer + r_in.exp) % q
+    operand = GElem._reduced(params, peer_term * (session.x + s_own) % q)
+    return derive_key(kdf_input, pair(session._keys.private_key, operand))
 
 
 def session_id(session: Session) -> SessionId:

@@ -51,6 +51,30 @@ def reference_identity_exponent(identity: str, q: int) -> int:
     return _scalar(_h(b"H1G" + identity.encode("utf-8")), q)
 
 
+def _reference_scalars(
+    variant: str, q: int, id_init: str, id_resp: str, r_init: int, r_resp: int
+) -> tuple[int, int]:
+    if variant == "original":
+        return (
+            _scalar(_h(b"PI0" + _ser(r_init) + _ser(r_resp)), q),
+            _scalar(_h(b"PI0" + _ser(r_resp) + _ser(r_init)), q),
+        )
+    return (
+        _scalar(_h(b"PI1" + _frame(id_init) + _frame(id_resp) + _ser(r_init) + _ser(r_resp)), q),
+        _scalar(_h(b"PI1" + _frame(id_resp) + _frame(id_init) + _ser(r_resp) + _ser(r_init)), q),
+    )
+
+
+def _reference_kdf(
+    variant: str, id_init: str, id_resp: str, r_init: int, r_resp: int, sigma: int
+) -> bytes:
+    if variant == "original":
+        return _h(b"KDF0" + _ser(sigma))
+    return _h(
+        b"KDF" + _frame(id_init) + _frame(id_resp) + _ser(r_init) + _ser(r_resp) + _ser(sigma)
+    )
+
+
 def reference_session_key(
     variant: str,
     q: int,
@@ -65,24 +89,41 @@ def reference_session_key(
     a = reference_identity_exponent(id_init, q)
     b = reference_identity_exponent(id_resp, q)
     r_init, r_resp = a * x_init % q, b * x_resp % q
-    if variant == "original":
-        s_init = _scalar(_h(b"PI0" + _ser(r_init) + _ser(r_resp)), q)
-        s_resp = _scalar(_h(b"PI0" + _ser(r_resp) + _ser(r_init)), q)
-    else:
-        s_init = _scalar(
-            _h(b"PI1" + _frame(id_init) + _frame(id_resp) + _ser(r_init) + _ser(r_resp)), q
-        )
-        s_resp = _scalar(
-            _h(b"PI1" + _frame(id_resp) + _frame(id_init) + _ser(r_resp) + _ser(r_init)), q
-        )
+    s_init, s_resp = _reference_scalars(variant, q, id_init, id_resp, r_init, r_resp)
     sigma = (
         a * b % q * alpha % q * h % q * ((x_init + s_init) % q) % q * ((x_resp + s_resp) % q) % q
     )
-    if variant == "original":
-        return _h(b"KDF0" + _ser(sigma))
-    return _h(
-        b"KDF" + _frame(id_init) + _frame(id_resp) + _ser(r_init) + _ser(r_resp) + _ser(sigma)
-    )
+    return _reference_kdf(variant, id_init, id_resp, r_init, r_resp, sigma)
+
+
+def reference_one_sided_key(
+    variant: str,
+    q: int,
+    alpha: int,
+    owner: str,
+    peer: str,
+    role: str,
+    x: int,
+    r_in: int,
+) -> bytes:
+    """The key of one session from its owner's side alone: the owner's
+    scalar x and the exponent r_in of whatever element it accepted, which
+    need not come from the peer. role is "initiator" or "responder". The
+    owner pairs its private key H(owner)^alpha with (H(peer)^s_peer * R_in)
+    raised to x + s_own, so the shared exponent is
+    (peer * s_peer + r_in) * owner * alpha * (x + s_own)."""
+    own = reference_identity_exponent(owner, q)
+    other = reference_identity_exponent(peer, q)
+    r_out = own * x % q
+    initiator = role == "initiator"
+    if initiator:
+        id_init, id_resp, r_init, r_resp = owner, peer, r_out, r_in
+    else:
+        id_init, id_resp, r_init, r_resp = peer, owner, r_in, r_out
+    s_init, s_resp = _reference_scalars(variant, q, id_init, id_resp, r_init, r_resp)
+    s_own, s_peer = (s_init, s_resp) if initiator else (s_resp, s_init)
+    sigma = (other * s_peer + r_in) % q * (own * alpha % q) % q * ((x + s_own) % q) % q
+    return _reference_kdf(variant, id_init, id_resp, r_init, r_resp, sigma)
 
 
 def reference_handshake_key(variant: str, seed: int, q: int) -> bytes:

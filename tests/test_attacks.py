@@ -1,6 +1,8 @@
 """Attack scripts: recorded facts, honest success predicates, determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idak import (
     FreshnessVerdict,
@@ -20,6 +22,8 @@ from idak import attacks
 from idak.ecksim import two_party_world
 from idak.errors import CapabilityError, ParameterError
 from idak.oracles import hash_to_group, key_digest
+
+from conftest import reference_one_sided_key
 
 VARIANTS = (Variant.ORIGINAL, Variant.HARDENED)
 
@@ -98,6 +102,30 @@ def test_master_key_break_succeeds(variant):
             if e.startswith("recomputed_key_digest:")
         )
         assert recomputed == alice.key_digest
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    q=st.sampled_from([5, 7, 13, 101, 1_000_003]),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_transcript_key_matches_one_sided_reference(variant, q, seed, data):
+    """The mkbreak candidate, rebuilt from the master key and the public
+    transcript, is alice's initiator key over (R_A, R_in) by the one-sided
+    reference, for any scalar of hers and any element in bob's place."""
+    world = two_party_world(seed, variant, q, master_key_reveal=True)
+    alpha = world.kgc.reveal_master_key()
+    x = data.draw(st.integers(1, q - 1), label="x")
+    r_in = data.draw(st.integers(1, q - 1), label="r_in")
+    g = world.params.g
+    r_init, r_resp = hash_to_group(world.params, "alice") ** x, g**r_in
+    d_bob = hash_to_group(world.params, "bob") ** alpha
+    got = attacks._transcript_key(world, r_init, r_resp, d_bob, r_resp**alpha)
+    assert got == reference_one_sided_key(
+        variant.value, q, alpha, "alice", "bob", "initiator", x, r_in
+    )
 
 
 def test_master_key_break_requires_capability():

@@ -27,7 +27,7 @@ from idak import (
     run_random_guess_adversary,
     start_session,
 )
-from idak import ecksim, group, oracles, protocol
+from idak import attacks, ecksim, group, oracles, protocol
 from idak.errors import (
     CapabilityError,
     EmptyIdentityError,
@@ -797,6 +797,27 @@ def test_world_rejects_wrong_typed_variant_and_identities():
             call()
 
 
+def test_world_rejects_identities_utf8_cannot_encode():
+    """A lone surrogate is a str with no UTF-8 form. Registering it,
+    extracting it or naming it as a peer fails with ParameterError before
+    any RNG draw, handle or log record. add_party used to raise
+    UnicodeEncodeError, and activate used to open a session that accepted
+    and then raised on is_fresh and on its key read."""
+    world = make_world()
+    state = world.rng.getstate()
+    for call in (
+        lambda: world.add_party("\ud800"),
+        lambda: world.adv_extract("\ud800"),
+        lambda: world.activate("alice", "\ud800", Role.INITIATOR),
+        lambda: world.activate("bob", "eve\udfff", Role.RESPONDER),
+    ):
+        with pytest.raises(ParameterError):
+            call()
+    assert world.rng.getstate() == state
+    assert (world.log, world._sessions) == ([], {})
+    assert world.activate("alice", "bob", Role.INITIATOR)[0] == 1
+
+
 def test_query_record_is_an_immutable_tuple():
     record = QueryRecord(QueryKind.SESSION_KEY_REVEAL, session=3)
     assert (record.identity, record.bit) == (None, None)
@@ -867,6 +888,50 @@ def test_honest_exchange_hashes_no_identity(monkeypatch, variant):
     assert not any(data.startswith(b"H1G") for data in digests)
     assert [world.session(handle).key for handle in handles] == keys
     assert (len(digests), len(pairings)) == (6, 2)
+
+
+@pytest.mark.parametrize("variant", [Variant.ORIGINAL, Variant.HARDENED])
+@pytest.mark.parametrize("first", [Role.INITIATOR, Role.RESPONDER])
+def test_each_key_read_hashes_three_times_and_pairs_once(monkeypatch, variant, first):
+    """With the identity memo warm, every single key read runs sha256
+    three times (two s-values, one KDF), pairs once and hashes no
+    identity: the initiator's or the responder's key read first, a
+    tampered session that has no match, and one attacks._transcript_key
+    call alike. A second read runs nothing."""
+    world = ecksim.two_party_world(0, variant, master_key_reveal=True)
+    h_init, h_resp = run_honest_exchange(world, "alice", "bob")
+    h_tampered, _ = world.activate("alice", "bob", Role.INITIATOR)
+    world.deliver(h_tampered, world.params.g**12345)
+    alpha = world.kgc.reveal_master_key()
+    init = world.session(h_init)
+    d_bob, r_resp_alpha = oracles.hash_to_group(world.params, "bob") ** alpha, init.r_in**alpha
+    real_digest, real_pair = oracles._digest, protocol.pair
+    digests, pairings = [], []
+    monkeypatch.setattr(oracles, "_digest", lambda data: digests.append(data) or real_digest(data))
+
+    def counted_pair(a, b):
+        pairings.append(1)
+        return real_pair(a, b)
+
+    def transcript_key():
+        return attacks._transcript_key(world, init.r_out, init.r_in, d_bob, r_resp_alpha)
+
+    def costs(read):
+        digests.clear()
+        pairings.clear()
+        read()
+        assert not any(data.startswith(b"H1G") for data in digests)
+        return len(digests), len(pairings)
+
+    monkeypatch.setattr(protocol, "pair", counted_pair)
+    monkeypatch.setattr(attacks, "pair", counted_pair)
+    order = [h_init, h_resp] if first is Role.INITIATOR else [h_resp, h_init]
+    for handle in order + [h_tampered]:
+        assert costs(lambda: world.session(handle).key) == (3, 1)
+        assert costs(lambda: world.session(handle).key) == (0, 0)
+    assert world.session(h_tampered).key != world.session(h_init).key
+    assert costs(transcript_key) == (3, 1)
+    assert transcript_key() == init.key
 
 
 # an identity whose H1G exponent at the default q equals alice's, found by

@@ -4,8 +4,18 @@ import random
 
 import pytest
 
-from idak import KGC, GroupParams, dlog, hash_to_group, pair
-from idak.errors import CapabilityError, EmptyIdentityError, ParameterError
+from idak import (
+    KGC,
+    GroupParams,
+    IdentityKey,
+    Role,
+    Variant,
+    dlog,
+    hash_to_group,
+    pair,
+    start_session,
+)
+from idak.errors import CapabilityError, EmptyIdentityError, GroupMismatchError, ParameterError
 
 
 def make_kgc(seed=7, q=101, **kw):
@@ -35,10 +45,11 @@ def test_extract_idempotent():
 
 def test_extract_rejects_non_str_identity():
     """An identity that is not a str fails with ParameterError (it used to
-    be AttributeError from hashing) before the registry is written; an
+    be AttributeError from hashing), and so does a str UTF-8 cannot encode
+    (it used to be UnicodeEncodeError), before the registry is written; an
     empty one keeps its EmptyIdentityError."""
     kgc = make_kgc()
-    for identity in (7, b"alice", ["alice"]):
+    for identity in (7, b"alice", ["alice"], "\ud800", "bob\udfff"):
         with pytest.raises(ParameterError):
             kgc.extract(identity)
     with pytest.raises(EmptyIdentityError):
@@ -91,3 +102,24 @@ def test_kgc_rejects_non_group_params():
     with pytest.raises(ParameterError):
         KGC(rng, 101)
     assert rng.getstate() == state
+
+
+def test_identity_key_checks_its_material():
+    """Key material is checked where it is made: points of two groups fail
+    with GroupMismatchError, a non-element or an identity no oracle can
+    hash with ParameterError. Such keys used to start a session that
+    accepted, and its first key read raised or was wrong."""
+    p101, p103 = GroupParams(101), GroupParams(103)
+    with pytest.raises(GroupMismatchError):
+        IdentityKey("alice", p101.g**3, p103.g**5)
+    for public, private in ((3, p101.g), (p101.g, p101.gt**2), (p101.g, None)):
+        with pytest.raises(ParameterError):
+            IdentityKey("alice", public, private)
+    for identity in (7, "\ud800"):
+        with pytest.raises(ParameterError):
+            IdentityKey(identity, p101.g**3, p101.g**5)
+    with pytest.raises(EmptyIdentityError):
+        IdentityKey("", p101.g**3, p101.g**5)
+    keys = IdentityKey("alice", p101.g**3, p101.g**5)
+    session, _ = start_session(keys, "bob", Role.INITIATOR, Variant.HARDENED, random.Random(1))
+    assert session.r_out.params == p101

@@ -6,6 +6,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idak import (
     DEFAULT_Q,
@@ -35,7 +37,7 @@ from idak.errors import (
     SessionStateError,
 )
 
-from conftest import reference_handshake_key, reference_session_key
+from conftest import reference_handshake_key, reference_one_sided_key, reference_session_key
 
 VARIANTS = (Variant.ORIGINAL, Variant.HARDENED)
 
@@ -100,13 +102,14 @@ def test_start_session_shape():
 
 @pytest.mark.parametrize(
     "peer,variant",
-    [(5, Variant.HARDENED), ("bob", "original")],
-    ids=["int-peer", "str-variant"],
+    [(5, Variant.HARDENED), ("bob", "original"), ("\ud800", Variant.HARDENED)],
+    ids=["int-peer", "str-variant", "surrogate-peer"],
 )
 def test_start_session_rejects_wrong_typed_inputs(peer, variant):
     """A peer that is not a str (it used to fail only at completion, with
-    AttributeError) or a variant that is not a Variant (a string used to
-    run the hardened arithmetic) fails before the ephemeral draw."""
+    AttributeError), a peer UTF-8 cannot encode (the session used to accept
+    and fail on its key read) or a variant that is not a Variant (a string
+    used to run the hardened arithmetic) fails before the ephemeral draw."""
     rng = random.Random(4)
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     alice = kgc.extract("alice")
@@ -176,6 +179,41 @@ def test_key_is_derived_on_first_read(monkeypatch, first, variant, q):
             assert want.hex() not in repr(session)
             assert repr(want) not in repr(session)
             assert repr(session) == repr(twin_a if session is a_sess else twin_b)
+
+
+# "eve" is the peer a UKS adversary has a session name; the rest are
+# non-ASCII, so UTF-8 framing and lengths in bytes are exercised
+_IDENTITIES = st.sampled_from(["alice", "bob", "eve", "ælfrēd", "李雷", "fox🦊"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    q=st.sampled_from([5, 7, 13, 101, DEFAULT_Q]),
+    owner=_IDENTITIES,
+    peer=_IDENTITIES,
+    role=st.sampled_from(list(Role)),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_any_accepted_session_matches_one_sided_reference(
+    variant, q, owner, peer, role, seed, data
+):
+    """A session that accepted any non-identity element, tampered or from
+    no session at all, derives the key the one-sided raw-exponent
+    reference computes from the owner's scalar and that element's
+    exponent: both roles and variants, small and default q, any pair of
+    identities, the owner itself as peer included."""
+    rng = random.Random(seed)
+    kgc = KGC(rng, GroupParams(q), master_key_reveal=True)
+    session, _ = start_session(kgc.extract(owner), peer, role, variant, rng)
+    r_in = data.draw(st.integers(1, q - 1), label="r_in")
+    complete_session(session, kgc.params.g**r_in)
+    alpha = kgc.reveal_master_key()
+    want = reference_one_sided_key(
+        variant.value, q, alpha, owner, peer, role.value, session.x, r_in
+    )
+    assert session.key == want
 
 
 def test_ephemeral_collisions_only_repeat_the_element():
