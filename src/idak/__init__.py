@@ -65,9 +65,7 @@ from .protocol import (
     Status,
     Variant,
     complete_session,
-    derive_session_key,
     session_id,
-    session_scalars,
     sessions_match,
     start_session,
     transcript_record,
@@ -103,7 +101,6 @@ __all__ = [
     "dbdh_check",
     "derive_key_bound",
     "derive_key_plain",
-    "derive_session_key",
     "dlog",
     "errors",
     "freshness_truth_table",
@@ -123,7 +120,6 @@ __all__ = [
     "run_random_guess_adversary",
     "run_uks",
     "session_id",
-    "session_scalars",
     "sessions_match",
     "start_session",
     "transcript_record",

@@ -19,15 +19,8 @@ from enum import Enum
 from .ecksim import World, run_honest_exchange, two_party_world
 from .errors import require
 from .group import DEFAULT_Q, GElem, dlog, pair, random_scalar
-from .oracles import hash_to_group, key_digest
-from .protocol import (
-    Role,
-    Variant,
-    complete_session,
-    derive_session_key,
-    session_scalars,
-    start_session,
-)
+from .oracles import derive_key, hash_to_group, key_digest, session_hashes
+from .protocol import Role, Variant, complete_session, start_session
 
 _RECOMPUTED = "recomputed_key_digest:"
 _CANDIDATE = "candidate_key_digest:"
@@ -89,11 +82,11 @@ def _transcript_key(
     key: d_resp and r_resp_alpha are the master-key powers of bob's identity
     point and of r_resp, so pair(d_resp^s_r * r_resp_alpha, r_init * H(alice)^s_i)
     is her shared value, and every other input of the derivation is public."""
-    variant = world.variant
-    s_init, s_resp = session_scalars(variant, "alice", "bob", r_init, r_resp)
+    bound = world.variant is Variant.HARDENED
+    s_init, s_resp, kdf_input = session_hashes(bound, "alice", "bob", r_init, r_resp)
     a_base = hash_to_group(world.params, "alice")
     shared = pair(d_resp**s_resp * r_resp_alpha, r_init * a_base**s_init)
-    return derive_session_key(variant, "alice", "bob", r_init, r_resp, shared)
+    return derive_key(kdf_input, shared)
 
 
 def _digest_knowledge(knowledge: list[str], prefix: str) -> str | None:

@@ -14,7 +14,8 @@ class EmptyIdentityError(IdakError):
 
 
 class InvalidElementError(IdakError):
-    """A received protocol message is not an acceptable group element."""
+    """A received protocol message or a key point is not an acceptable
+    group element."""
 
 
 class ParameterError(IdakError, ValueError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CapabilityError, GroupMismatchError, require
+from .errors import CapabilityError, GroupMismatchError, InvalidElementError, require
 from .group import GElem, GroupParams, random_scalar, same_params
 from .oracles import hash_to_group, require_identity
 
@@ -14,8 +14,9 @@ from .oracles import hash_to_group, require_identity
 class IdentityKey:
     """One identity's key material. public_key is the hash-to-group image
     of the identity; private_key is that point raised to the master secret.
-    Built only from a nonempty, UTF-8-encodable identity and two elements
-    of one group: ParameterError or GroupMismatchError otherwise."""
+    Built only from a nonempty, UTF-8-encodable identity and two
+    non-identity elements of one group: ParameterError, GroupMismatchError
+    or InvalidElementError otherwise."""
 
     identity: str
     public_key: GElem
@@ -29,13 +30,17 @@ class IdentityKey:
         require(self.private_key, GElem, "private_key")
         if not same_params(self.public_key.params, self.private_key.params):
             raise GroupMismatchError("public and private key from different group instantiations")
+        # an identity-element public key sends the identity element, which
+        # every peer rejects; an identity-element private key pairs to gt^0
+        if self.public_key.is_identity or self.private_key.is_identity:
+            raise InvalidElementError("identity element rejected as key material")
 
 
 class KGC:
     """Holds the master secret and answers extraction requests.
 
     Extraction is deliberately unauthenticated: anyone, an adversary
-    included, may register any identity and receive its private key.
+    included, may name any identity and receive its private key.
     That is a protocol assumption, not an oversight, and several attack
     scripts depend on it. The master secret leaves the object only
     through reveal_master_key, which must be enabled at construction.
@@ -54,21 +59,15 @@ class KGC:
         self.params = group
         self._alpha = random_scalar(rng, self.params)
         self._master_key_reveal = master_key_reveal
-        self._registry: dict[str, IdentityKey] = {}
 
     def extract(self, identity: str) -> IdentityKey:
-        """Register an identity and return its key pair. Idempotent: the
-        same identity always maps to the same material. An empty identity,
-        or one UTF-8 cannot encode, is refused by hash_to_group before the
-        registry is written."""
+        """Return an identity's key pair, a pure function of the master
+        secret and the identity: the same identity always gets equal
+        material. An empty identity, or one UTF-8 cannot encode, is
+        refused by hash_to_group."""
         require(identity, str, "identity")
-        existing = self._registry.get(identity)
-        if existing is not None:
-            return existing
         base = hash_to_group(self.params, identity)
-        key = IdentityKey(identity, base, base**self._alpha)
-        self._registry[identity] = key
-        return key
+        return IdentityKey(identity, base, base**self._alpha)
 
     def reveal_master_key(self) -> int:
         """Hand the master secret to the caller. Gated: the KGC must have

@@ -16,13 +16,15 @@ a str that UTF-8 cannot encode is refused (`require_identity`). Scalars
 come out as 1 + (digest mod (q-1)) and therefore never hit zero.
 
 One set of private encoders lays out the PI0, PI1 and KDF inputs from
-framed identities and encoded elements. The single-oracle functions
+framed identities and encoded elements. The package turns a transcript
+into a key only through `session_hashes`, which computes the two
+s-values and the KDF input in one pass, encoding each element and
+framing each identity once, and `derive_key`, which completes that
+input with the shared value. The single-oracle functions
 (`transcript_scalar`, `bound_scalar`, `derive_key_plain`,
-`derive_key_bound`) and the transcript-level `session_hashes` are built
-on them, so they share one byte layout. `session_hashes` computes a
-transcript's two s-values and its KDF input in one pass, encoding each
-element and framing each identity once; `derive_key` completes that
-input with the shared value.
+`derive_key_bound`) are built on the same encoders and stay as the
+reference definition of each oracle, for the tests and the
+benchmark's tracer.
 
 The H1G exponent of each (identity, q) and the framing of each identity
 are memoised in bounded LRU caches of _MEMO_SIZE entries, so a party's

@@ -33,12 +33,12 @@ exponent, r_in's and x + s_own): pairing private_key with
 (peer_base^s * r_in)^(x + s_own) is, by bilinearity, the value above. A
 read costs three sha256 calls, one pairing and one new source element.
 It draws nothing from the RNG and cannot fail once `complete_session`
-has accepted: `IdentityKey` checks its identity and that its two
-points are elements of one group, `start_session` that the peer is a
-nonempty str UTF-8 can encode, and `complete_session` that the element
-lies in the session's group. So when a key is read changes no output byte. In the eCK game a
-key is seen only through a session-key reveal or the Test query, and
-most keys are never read.
+has accepted, because every input was checked where it entered:
+`IdentityKey` checks the identity and both key points, `start_session`
+the peer and `complete_session` the element. The time of a key's first
+read therefore changes no output byte. In the eCK game a key is seen
+only through a session-key reveal or the Test query, and most keys are
+never read.
 """
 
 from __future__ import annotations
@@ -48,13 +48,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import GroupMismatchError, InvalidElementError, SessionStateError, require
-from .group import GElem, GTElem, pair, random_scalar, same_params
+from .group import GElem, pair, random_scalar, same_params
 from .kgc import IdentityKey
 from .oracles import (
     _identity_exponent,
     derive_key,
-    derive_key_bound,
-    derive_key_plain,
     key_digest,
     require_identity,
     session_hashes,
@@ -112,36 +110,6 @@ class Session:
 # value identity of an accepted session: (owner, peer, is_initiator, exponents
 # of the initiator's and the responder's messages), comparable within one group
 SessionId = tuple[str, str, bool, int, int]
-
-
-def session_scalars(
-    variant: Variant,
-    id_init: str,
-    id_resp: str,
-    r_init: GElem,
-    r_resp: GElem,
-) -> tuple[int, int]:
-    """The (initiator, responder) scalar pair for a transcript. Both
-    sides of an honest run compute identical values because the inputs
-    are all public."""
-    bound = variant is Variant.HARDENED
-    s_init, s_resp, _ = session_hashes(bound, id_init, id_resp, r_init, r_resp)
-    return s_init, s_resp
-
-
-def derive_session_key(
-    variant: Variant,
-    id_init: str,
-    id_resp: str,
-    r_init: GElem,
-    r_resp: GElem,
-    shared: GTElem,
-) -> bytes:
-    """The variant's key over a transcript and shared value: the bytes
-    `derive_key` gives for the KDF input of `session_hashes`."""
-    if variant is Variant.ORIGINAL:
-        return derive_key_plain(shared)
-    return derive_key_bound(id_init, id_resp, r_init, r_resp, shared)
 
 
 def start_session(

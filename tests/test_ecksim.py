@@ -894,7 +894,8 @@ def test_honest_exchange_hashes_no_identity(monkeypatch, variant):
 @pytest.mark.parametrize("first", [Role.INITIATOR, Role.RESPONDER])
 def test_each_key_read_hashes_three_times_and_pairs_once(monkeypatch, variant, first):
     """With the identity memo warm, every single key read runs sha256
-    three times (two s-values, one KDF), pairs once and hashes no
+    three times (two s-values, one KDF), encodes three elements (the two
+    transcript elements and the shared value), pairs once and hashes no
     identity: the initiator's or the responder's key read first, a
     tampered session that has no match, and one attacks._transcript_key
     call alike. A second read runs nothing."""
@@ -905,13 +906,17 @@ def test_each_key_read_hashes_three_times_and_pairs_once(monkeypatch, variant, f
     alpha = world.kgc.reveal_master_key()
     init = world.session(h_init)
     d_bob, r_resp_alpha = oracles.hash_to_group(world.params, "bob") ** alpha, init.r_in**alpha
-    real_digest, real_pair = oracles._digest, protocol.pair
-    digests, pairings = [], []
+    real_digest, real_pair, real_to_bytes = oracles._digest, protocol.pair, group._Elem.to_bytes
+    digests, pairings, encodings = [], [], []
     monkeypatch.setattr(oracles, "_digest", lambda data: digests.append(data) or real_digest(data))
 
     def counted_pair(a, b):
         pairings.append(1)
         return real_pair(a, b)
+
+    def counted_to_bytes(elem):
+        encodings.append(1)
+        return real_to_bytes(elem)
 
     def transcript_key():
         return attacks._transcript_key(world, init.r_out, init.r_in, d_bob, r_resp_alpha)
@@ -919,18 +924,20 @@ def test_each_key_read_hashes_three_times_and_pairs_once(monkeypatch, variant, f
     def costs(read):
         digests.clear()
         pairings.clear()
+        encodings.clear()
         read()
         assert not any(data.startswith(b"H1G") for data in digests)
-        return len(digests), len(pairings)
+        return len(digests), len(pairings), len(encodings)
 
     monkeypatch.setattr(protocol, "pair", counted_pair)
     monkeypatch.setattr(attacks, "pair", counted_pair)
+    monkeypatch.setattr(group._Elem, "to_bytes", counted_to_bytes)
     order = [h_init, h_resp] if first is Role.INITIATOR else [h_resp, h_init]
     for handle in order + [h_tampered]:
-        assert costs(lambda: world.session(handle).key) == (3, 1)
-        assert costs(lambda: world.session(handle).key) == (0, 0)
+        assert costs(lambda: world.session(handle).key) == (3, 1, 3)
+        assert costs(lambda: world.session(handle).key) == (0, 0, 0)
     assert world.session(h_tampered).key != world.session(h_init).key
-    assert costs(transcript_key) == (3, 1)
+    assert costs(transcript_key) == (3, 1, 3)
     assert transcript_key() == init.key
 
 
@@ -954,10 +961,11 @@ def twin_key_adversary(variant, seed):
     world.deliver(h_init, r_resp)
     twin = world.adv_extract(TWIN_OF_ALICE)
     x = world.eph_reveal(h_init)
-    s_init, s_resp = protocol.session_scalars(variant, "alice", "bob", r_init, r_resp)
+    bound = variant is Variant.HARDENED
+    s_init, s_resp, kdf_input = oracles.session_hashes(bound, "alice", "bob", r_init, r_resp)
     peer_term = oracles.hash_to_group(world.params, "bob") ** s_resp * r_resp
     shared = pair(peer_term, twin.private_key ** (x + s_init))
-    key = protocol.derive_session_key(variant, "alice", "bob", r_init, r_resp, shared)
+    key = oracles.derive_key(kdf_input, shared)
     answer = world.test(h_init)
     return world.guess(0 if answer == key else 1)
 

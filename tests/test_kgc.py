@@ -15,7 +15,13 @@ from idak import (
     pair,
     start_session,
 )
-from idak.errors import CapabilityError, EmptyIdentityError, GroupMismatchError, ParameterError
+from idak.errors import (
+    CapabilityError,
+    EmptyIdentityError,
+    GroupMismatchError,
+    InvalidElementError,
+    ParameterError,
+)
 
 
 def make_kgc(seed=7, q=101, **kw):
@@ -40,21 +46,20 @@ def test_master_key_range_and_spread():
 def test_extract_idempotent():
     kgc = make_kgc()
     first = kgc.extract("alice")
-    assert kgc.extract("alice") is first
+    assert kgc.extract("alice") == first
 
 
 def test_extract_rejects_non_str_identity():
     """An identity that is not a str fails with ParameterError (it used to
     be AttributeError from hashing), and so does a str UTF-8 cannot encode
-    (it used to be UnicodeEncodeError), before the registry is written; an
-    empty one keeps its EmptyIdentityError."""
+    (it used to be UnicodeEncodeError); an empty one keeps its
+    EmptyIdentityError."""
     kgc = make_kgc()
     for identity in (7, b"alice", ["alice"], "\ud800", "bob\udfff"):
         with pytest.raises(ParameterError):
             kgc.extract(identity)
     with pytest.raises(EmptyIdentityError):
         kgc.extract("")
-    assert kgc._registry == {}
 
 
 def test_extract_consistency_with_master_key():
@@ -108,10 +113,17 @@ def test_identity_key_checks_its_material():
     """Key material is checked where it is made: points of two groups fail
     with GroupMismatchError, a non-element or an identity no oracle can
     hash with ParameterError. Such keys used to start a session that
-    accepted, and its first key read raised or was wrong."""
+    accepted, and its first key read raised or was wrong. An
+    identity-element public or private key fails with InvalidElementError:
+    it used to open sessions whose outgoing element every honest peer
+    rejects, and whose keys hash the constant shared value gt^0."""
     p101, p103 = GroupParams(101), GroupParams(103)
     with pytest.raises(GroupMismatchError):
         IdentityKey("alice", p101.g**3, p103.g**5)
+    one = p101.g**0
+    for public, private in ((one, one), (one, p101.g**5), (p101.g**3, one)):
+        with pytest.raises(InvalidElementError):
+            IdentityKey("mallory", public, private)
     for public, private in ((3, p101.g), (p101.g, p101.gt**2), (p101.g, None)):
         with pytest.raises(ParameterError):
             IdentityKey("alice", public, private)

@@ -17,12 +17,10 @@ from idak import (
     Status,
     Variant,
     complete_session,
-    derive_session_key,
     dlog,
     key_digest,
     pair,
     session_id,
-    session_scalars,
     sessions_match,
     start_session,
     transcript_record,
@@ -248,14 +246,12 @@ def test_sigma_equals_master_key_form(variant):
         r_a, r_b = a_sess.r_out, b_sess.r_out
         alice = kgc.extract("alice")
         bob = kgc.extract("bob")
-        s_init, s_resp = session_scalars(variant, "alice", "bob", r_a, r_b)
+        bound = variant is Variant.HARDENED
+        s_init, s_resp, kdf_input = oracles.session_hashes(bound, "alice", "bob", r_a, r_b)
         shared = pair(bob.public_key**s_resp * r_b, r_a * alice.public_key**s_init) ** (
             group.h * alpha
         )
-        assert (
-            derive_session_key(variant, "alice", "bob", r_a, r_b, shared)
-            == key_a
-        )
+        assert oracles.derive_key(kdf_input, shared) == key_a
 
 
 def test_hardened_binds_identities():
