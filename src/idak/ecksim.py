@@ -79,8 +79,7 @@ class QueryKind(Enum):
 
 # module names for the kinds: reading a member off the enum class costs a
 # Python-level lookup, a global does not. _record routes on the first two,
-# and World builds every QueryRecord from them positionally, at a little
-# over half the cost of passing its fields by keyword
+# and World builds every QueryRecord from them with `_new_record`
 _EPHEMERAL = QueryKind.EPHEMERAL_KEY_REVEAL
 _SESSION_KEY = QueryKind.SESSION_KEY_REVEAL
 _PRIVATE_KEY = QueryKind.PRIVATE_KEY_REVEAL
@@ -108,6 +107,12 @@ class QueryRecord(NamedTuple):
         if self.bit is not None:
             record["bit"] = self.bit
         return record
+
+
+# `_new_record(QueryRecord, (kind, session, identity, bit))` builds a record
+# in C, at a little over half the cost of the class call, whose generated
+# __new__ is a Python function; every field is passed, in field order
+_new_record = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -254,7 +259,7 @@ class World:
     def eph_reveal(self, handle: int) -> int:
         """Reveal a session's ephemeral scalar."""
         session = self.session(handle)
-        self._record(QueryRecord(_EPHEMERAL, handle))
+        self._record(_new_record(QueryRecord, (_EPHEMERAL, handle, None, None)))
         return session.x
 
     def key_reveal(self, handle: int) -> bytes:
@@ -262,14 +267,14 @@ class World:
         session = self.session(handle)
         if session.r_in is None:
             raise SessionStateError("session key exists only after acceptance")
-        self._record(QueryRecord(_SESSION_KEY, handle))
+        self._record(_new_record(QueryRecord, (_SESSION_KEY, handle, None, None)))
         return session.key
 
     def private_reveal(self, identity: str) -> IdentityKey:
         """Reveal a registered party's long-term key material."""
         require(identity, str, "identity")
         keys = self._party_keys(identity)
-        self._record(QueryRecord(_PRIVATE_KEY, None, identity))
+        self._record(_new_record(QueryRecord, (_PRIVATE_KEY, None, identity, None)))
         return keys
 
     def adv_extract(self, identity: str) -> IdentityKey:
@@ -280,7 +285,7 @@ class World:
         if identity in self._parties:
             raise QueryError(f"{identity!r} is already a registered party")
         keys = self.kgc.extract(identity)
-        self._record(QueryRecord(_EXTRACT, None, identity))
+        self._record(_new_record(QueryRecord, (_EXTRACT, None, identity, None)))
         return keys
 
     # -- freshness ----------------------------------------------------------
@@ -324,7 +329,7 @@ class World:
             raise SessionStateError("only an accepted session can be tested")
         self._test_handle = handle
         self._test_bit = self.rng.getrandbits(1)
-        self._record(QueryRecord(_TEST, handle))
+        self._record(_new_record(QueryRecord, (_TEST, handle, None, None)))
         if self._test_bit == 0:
             return session.key
         return self.rng.randbytes(KEY_BYTES)
@@ -340,7 +345,7 @@ class World:
         if type(bit) is not int or bit not in (0, 1):
             raise QueryError("guess bit must be the int 0 or 1")
         self._guess_bit = bit
-        self._record(QueryRecord(_GUESS, None, None, bit))
+        self._record(_new_record(QueryRecord, (_GUESS, None, None, bit)))
         verdict = self.is_fresh(self._test_handle)
         if not verdict.fresh:
             self._outcome = Outcome.INVALID
@@ -436,7 +441,8 @@ _ATOMS_UNMATCHED = tuple(atom for atom in _ATOMS_MATCHED if "sid*" not in atom)
 
 def _row_plan(atoms: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     """Every subset of atoms in atom order, the subset of mask m at index m
-    (bit i of m selects atoms[i]): the rows of one truth-table branch."""
+    (bit i of m selects atoms[i]): the rows of one truth-table branch. Row
+    m + half, for m in the first half, is row m with the last atom added."""
     return tuple(
         tuple(atom for i, atom in enumerate(atoms) if mask >> i & 1)
         for mask in range(1 << len(atoms))
@@ -455,11 +461,15 @@ def freshness_truth_table(
     Each branch (matching session present or absent) builds one world and
     runs its exchange once, honest or with a tampered response. The row
     plan, every subset of the branch's reveal queries built once at
-    import, fixes the rows and their order. For each row the world's
-    query log is cleared, the row's queries are issued for real through
-    the public reveal methods, and the implementation verdict is
-    recorded: the same verdict a world built afresh for the row would
-    give, since reveals draw nothing from the RNG.
+    import, fixes the rows and their order. The branch is walked in pairs:
+    row m of the first half and row m + half, which holds the same queries
+    plus the branch's last atom. For each pair the world's query log is
+    cleared once, row m's queries are issued for real through the public
+    reveal methods and its verdict is taken, then the last atom is issued
+    on top and the verdict of row m + half is taken. At every verdict the
+    log holds exactly that row's queries in atom order, so each verdict is
+    the one a world built afresh for the row would give, since reveals
+    draw nothing from the RNG. Rows are returned in plan order.
     2^6 matched rows plus 2^4 unmatched rows, 80 in total.
     """
     rows: list[dict] = []
@@ -483,18 +493,25 @@ def freshness_truth_table(
             "EphemeralKeyReveal(sid)": (world.eph_reveal, h_sid),
             "EphemeralKeyReveal(sid*)": (world.eph_reveal, h_star),
         }
-        for chosen in _ROWS_MATCHED if matched else _ROWS_UNMATCHED:
+        plan = _ROWS_MATCHED if matched else _ROWS_UNMATCHED
+        half = len(plan) // 2
+        last_query, last_argument = reveals[plan[-1][-1]]
+        verdicts: list = [None] * len(plan)
+        for m in range(half):
             world._clear_queries()
-            for atom in chosen:
+            for atom in plan[m]:
                 query, argument = reveals[atom]
                 query(argument)
-            verdict = world.is_fresh(h_sid)
-            rows.append(
-                {
-                    "matching_session_exists": matched,
-                    "queries": list(chosen),
-                    "fresh": verdict.fresh,
-                    "violated_clause": verdict.violated_clause,
-                }
-            )
+            verdicts[m] = world.is_fresh(h_sid)
+            last_query(last_argument)
+            verdicts[m + half] = world.is_fresh(h_sid)
+        rows += [
+            {
+                "matching_session_exists": matched,
+                "queries": list(chosen),
+                "fresh": verdict.fresh,
+                "violated_clause": verdict.violated_clause,
+            }
+            for chosen, verdict in zip(plan, verdicts)
+        ]
     return rows

@@ -74,10 +74,12 @@ class Status(Enum):
     ACCEPTED = "accepted"
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     """Mutable per-session state owned by exactly one party. The session
-    has accepted exactly when r_in is set."""
+    has accepted exactly when r_in is set. Slotted, so a session keeps no
+    instance dict (about 40 bytes less per session) and its fields read
+    as fast as a dict's."""
 
     owner: str
     peer: str

@@ -152,3 +152,17 @@ def reference_freshness(matched: bool, queries: set[str]) -> tuple[bool, str | N
         if "PrivateKeyReveal(peer)" in queries:
             return False, "3b"
     return True, None
+
+
+def atoms_by_point(queries, q: int) -> set[str]:
+    """A truth-table row's query atoms (owner alice, peer bob) with
+    corruption mapped by identity point: where alice and bob hash to one
+    point, a long-term reveal of either is a long-term reveal of both."""
+    point = {
+        "owner": reference_identity_exponent("alice", q),
+        "peer": reference_identity_exponent("bob", q),
+    }
+    corrupted = {point[side] for side in point if f"PrivateKeyReveal({side})" in queries}
+    return {atom for atom in queries if not atom.startswith("PrivateKeyReveal")} | {
+        f"PrivateKeyReveal({side})" for side in point if point[side] in corrupted
+    }

@@ -103,10 +103,13 @@ def test_criterion_2_pairing_laws():
 
 
 def test_criterion_3_misbinding_differential():
-    """Original: the interception yields the scripted outcome, bob
-    convinced the peer is eve, and the factual key relationship is
+    """The scripted misbinding fails on both variants at the default q,
+    1000 of 1000 seeds each, so it does not separate them. Original: bob
+    ends convinced the peer is eve, and the factual key relationship is
     recorded (the keys do not coincide, so the honest success predicate
-    stays false). Hardened: success false with distinct keys, 1000/1000."""
+    stays false). Hardened, which also binds both identities into the
+    s-values and the identities and the ordered transcript into the key
+    derivation: success false with distinct keys as well."""
     with _Timer("3 misbinding differential"):
         for seed in range(1000):
             report = run_uks(Variant.ORIGINAL, seed)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idak import cli
+from idak import DEFAULT_Q, Variant, cli, freshness_truth_table
 from idak.cli import main
+
+from conftest import atoms_by_point, reference_freshness
 
 COMMANDS = [
     ["handshake"],
@@ -82,6 +84,28 @@ def test_kci_document_runs_full_matrix(capsys):
 def test_freshness_table_row_count(capsys):
     doc = main_json(capsys, "freshness-table")
     assert len(doc["rows"]) == 80
+
+
+@pytest.mark.parametrize("variant", ["original", "hardened"])
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 101, DEFAULT_Q])
+def test_freshness_table_bytes_at_every_order(q, variant, capsys):
+    """The table's row template writes what json.dumps writes for the same
+    document, at the orders where alice and bob share an identity point
+    (5, 7, 13) and the clause 2a/2b/3a/3b rows change, and where they do
+    not; every row is the reference verdict."""
+    seed = 1
+    status, out = run_main(
+        capsys, "freshness-table", "--variant", variant, "--seed", str(seed), "--q", str(q)
+    )
+    assert status == 0
+    rows = freshness_truth_table(seed, Variant(variant), q)
+    doc = {"command": "freshness-table", "variant": variant, "seed": seed, "q": str(q), "rows": rows}
+    assert out == json.dumps(doc, indent=2) + "\n"
+    for row in rows:
+        fresh, clause = reference_freshness(
+            row["matching_session_exists"], atoms_by_point(row["queries"], q)
+        )
+        assert (row["fresh"], row["violated_clause"]) == (fresh, clause), row
 
 
 def test_eck_batch_counts_add_up(capsys):

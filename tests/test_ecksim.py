@@ -37,7 +37,7 @@ from idak.errors import (
     SessionStateError,
 )
 
-from conftest import reference_freshness, reference_identity_exponent
+from conftest import atoms_by_point, reference_freshness, reference_identity_exponent
 
 
 def make_world(seed=0, variant=Variant.HARDENED, q=1_000_003):
@@ -193,20 +193,6 @@ def test_peer_corruption_alone_kills_unmatched_sessions():
     world.private_reveal("bob")
     verdict = world.is_fresh(h_init)
     assert not verdict.fresh and verdict.violated_clause == "3b"
-
-
-def atoms_by_point(queries, q):
-    """A row's query atoms with corruption mapped by identity point: where
-    alice and bob hash to one point, a long-term reveal of either is a
-    long-term reveal of both."""
-    point = {
-        "owner": reference_identity_exponent("alice", q),
-        "peer": reference_identity_exponent("bob", q),
-    }
-    corrupted = {point[side] for side in point if f"PrivateKeyReveal({side})" in queries}
-    return {atom for atom in queries if not atom.startswith("PrivateKeyReveal")} | {
-        f"PrivateKeyReveal({side})" for side in point if point[side] in corrupted
-    }
 
 
 def assert_rows_match_reference(rows, q=group.DEFAULT_Q):
@@ -729,9 +715,10 @@ def test_truth_table_builds_each_branch_once(monkeypatch):
 
 
 def test_truth_table_issues_each_rows_queries(monkeypatch):
-    """One table issues 224 reveal queries (6 x 32 matched, 4 x 8
-    unmatched) and clears the log 80 times, all through World's methods;
-    at each verdict the log lists exactly that row's queries, in atom
+    """One table issues 132 reveal queries (5 x 16 + 32 matched, 3 x 4 + 8
+    unmatched) and clears the log 40 times, once per pair of rows m and
+    m + half, all through World's methods; at each verdict, taken in the
+    order m, m + half, the log lists exactly that row's queries, in atom
     order. A table that skipped a clear or a reveal would fail here."""
     counts = {"reveal": 0, "clear": 0}
     logs = []
@@ -761,8 +748,13 @@ def test_truth_table_issues_each_rows_queries(monkeypatch):
 
     monkeypatch.setattr(World, "is_fresh", logging_is_fresh)
     rows = freshness_truth_table()
-    assert counts == {"reveal": 224, "clear": 80}
-    assert logs == [row["queries"] for row in rows]
+    assert counts == {"reveal": 132, "clear": 40}
+    evaluated = []
+    for branch in (rows[:64], rows[64:]):
+        half = len(branch) // 2
+        for m in range(half):
+            evaluated += [branch[m]["queries"], branch[m + half]["queries"]]
+    assert logs == evaluated
 
 
 def test_world_rejects_wrong_typed_variant_and_identities():
