@@ -20,12 +20,21 @@ renders in about 0.35x the time of `_render`'s walk over it (CPython
 3.11, 2 cores); the document head and every other command go through
 `_render`.
 
-`main` routes on the command word. An argv that starts with a command
-name is parsed by that command's own subparser; any other argv (empty,
-`-h`, an unknown word, a leading `--`) goes through the whole parser.
-The namespace, output and exit status are the same either way. The
-whole parser's top-level pass only matches the command word and copies
-the subparser's namespace back, yet it was about 60% of the parse cost.
+`main` routes on the command word, and the namespace, output and exit
+status are those of the whole parser for every argv. An argv that does
+not start with a command name (empty, `-h`, an unknown word, a leading
+`--`) goes through the whole parser. A canonical argv, a command name
+and exact `--option value` pairs, is read from that command's option
+table, built once with the cached parser from the subparser's own store
+actions: each value goes through its option's `type` and `choices`, the
+last of a repeated option wins, and the rest take the subparser's
+defaults. Every other argv that starts with a command name (`-h`, an
+abbreviation, `--opt=value`, a value that starts with `-`, a dangling
+option, a value its `type` or `choices` refuses) is parsed by that
+command's own subparser, so argparse still writes every error message
+and all help text. A table read costs about a fifth of the subparser's
+pass (CPython 3.11); the whole parser's top-level pass, which the routed
+argvs skip, only matches the command word and copies the namespace back.
 """
 
 from __future__ import annotations
@@ -118,20 +127,69 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built on first use, not at import: importing the CLI stays cheap, and
-    # every later main call in the process reuses this one parser
-    return build_parser()
+    # every later main call in the process reuses this one parser and the
+    # option table of each of its commands
+    parser = build_parser()
+    parser.tables = {name: _option_table(command) for name, command in parser.commands.items()}
+    return parser
+
+
+def _option_table(command: argparse.ArgumentParser) -> tuple[dict, dict]:
+    """What `_read_table` needs of a command's subparser: the namespace an
+    empty argv parses to, as a dict, and each store action that takes one
+    value, by its exact option string."""
+    options = {
+        option: action
+        for action in command._actions
+        if type(action) is argparse._StoreAction and action.nargs is None
+        for option in action.option_strings
+    }
+    return vars(command.parse_args([])), options
+
+
+def _read_table(table: tuple[dict, dict], words: list[str]) -> dict | None:
+    """The namespace, as a dict, of a command's words when they are exact
+    `--option value` pairs whose values pass the option's own type and
+    choices; the last of a repeated option wins. None for any other words,
+    which the subparser then parses: a value that starts with "-" might
+    be read as an option, and a value it refuses gets argparse's error."""
+    defaults, options = table
+    if len(words) % 2:
+        return None
+    values = dict(defaults)
+    for i in range(0, len(words), 2):
+        option, text = words[i], words[i + 1]
+        if type(option) is not str or type(text) is not str:
+            return None
+        action = options.get(option)
+        if action is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return values
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """`_parser().parse_args(argv)`, with the same namespace, output and
     exit status for every argv, but an argv that starts with a command name
-    goes straight to that command's subparser."""
+    is read from that command's option table or, failing that, parsed by
+    that command's subparser."""
     if argv is None:
         argv = sys.argv[1:]
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    values = _read_table(parser.tables[argv[0]], argv[1:])
+    if values is not None:
+        args = argparse.Namespace()
+        vars(args).update(values, command=argv[0])
+        return args
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))

@@ -62,7 +62,6 @@ from .protocol import (
     SessionId,
     Variant,
     complete_session,
-    partner_id,
     session_id,
     start_session,
 )
@@ -150,12 +149,16 @@ class World:
         q: int = DEFAULT_Q,
         master_key_reveal: bool = False,
     ) -> None:
-        require(variant, Variant, "variant")
+        # exact classes first, as in start_session
+        if type(variant) is not Variant:
+            require(variant, Variant, "variant")
         # random.Random(None) seeds from OS entropy, and the report's "seed"
         # must replay the world: only a plain int is taken
-        require(seed, int, "seed")
+        if type(seed) is not int:
+            require(seed, int, "seed")
         # the KGC checks the gate too, but only after the RNG exists
-        require(master_key_reveal, bool, "master_key_reveal")
+        if type(master_key_reveal) is not bool:
+            require(master_key_reveal, bool, "master_key_reveal")
         self.seed = seed
         self.variant = variant
         self.rng = random.Random(seed)
@@ -189,7 +192,8 @@ class World:
         """Open a session at a registered party, returning its handle and
         the outgoing element (which the adversary may or may not deliver)."""
         # start_session checks the peer
-        require(owner, str, "owner")
+        if type(owner) is not str:
+            require(owner, str, "owner")
         keys = self._party_keys(owner)
         session, r_out = start_session(keys, peer, role, self.variant, self.rng)
         handle = self._next_handle
@@ -203,7 +207,11 @@ class World:
         derived only if a reveal or the Test query reads it."""
         session = self.session(handle)
         complete_session(session, element)
-        key = partner_id(session_id(session))
+        # partner_id(session_id(session)), built as one tuple
+        if session.role is Role.INITIATOR:
+            key = (session.peer, session.owner, False, session.r_out.exp, element.exp)
+        else:
+            key = (session.peer, session.owner, True, element.exp, session.r_out.exp)
         # sessions may accept out of creation order; the smallest handle wins
         if self._accepted.setdefault(key, handle) > handle:
             self._accepted[key] = handle

@@ -65,7 +65,8 @@ class GroupParams:
 
     def __post_init__(self) -> None:
         # checked first: 1000003.0 would otherwise be found in the int set
-        require(self.q, int, "group order")
+        if type(self.q) is not int:
+            require(self.q, int, "group order")
         if self.q in _validated_orders:
             return
         if self.q <= 3 or not is_prime(self.q):
@@ -130,8 +131,13 @@ class _Elem:
         return self._reduced(self.params, (self.exp + other.exp) % self.params.q)
 
     def __pow__(self, scalar: int) -> _Elem:
-        _require_int(scalar)
-        return self._reduced(self.params, self.exp * scalar % self.params.q)
+        if type(scalar) is not int:
+            _require_int(scalar)
+        params = self.params
+        elem = _new(self.__class__)
+        _set_params(elem, params)
+        _set_exp(elem, self.exp * scalar % params.q)
+        return elem
 
     @property
     def is_identity(self) -> bool:
@@ -144,7 +150,8 @@ class _Elem:
         return self.to_bytes().hex()
 
 
-# slot setters, bound once: _Elem._reduced is on every group operation's path
+# slot setters, bound once: _Elem._reduced, `**` and `pair`, on every group
+# operation's path, build through them
 _new = object.__new__
 _set_params = _Elem.params.__set__
 _set_exp = _Elem.exp.__set__
@@ -167,9 +174,13 @@ def pair(a: GElem, b: GElem) -> GTElem:
     exponents mod q, so pair(g^x, g^y) = gt^(x*y) by construction."""
     if not isinstance(a, GElem) or not isinstance(b, GElem):
         raise TypeError("pair expects two source-group elements")
-    if not same_params(a.params, b.params):
+    params = a.params
+    if b.params is not params and not same_params(params, b.params):
         raise GroupMismatchError("pairing operands from different group instantiations")
-    return GTElem._reduced(a.params, a.exp * b.exp % a.params.q)
+    elem = _new(GTElem)
+    _set_params(elem, params)
+    _set_exp(elem, a.exp * b.exp % params.q)
+    return elem
 
 
 def random_scalar(rng: random.Random, params: GroupParams) -> int:

@@ -16,7 +16,8 @@ class IdentityKey:
     of the identity; private_key is that point raised to the master secret.
     Built only from a nonempty, UTF-8-encodable identity and two
     non-identity elements of one group: ParameterError, GroupMismatchError
-    or InvalidElementError otherwise."""
+    or InvalidElementError otherwise. KGC.extract builds keys that pass
+    these checks without running them."""
 
     identity: str
     public_key: GElem
@@ -34,6 +35,9 @@ class IdentityKey:
         # every peer rejects; an identity-element private key pairs to gt^0
         if self.public_key.is_identity or self.private_key.is_identity:
             raise InvalidElementError("identity element rejected as key material")
+
+
+_new = object.__new__
 
 
 class KGC:
@@ -54,8 +58,10 @@ class KGC:
     ) -> None:
         # checked before the master key is drawn; any truthy non-bool gate,
         # the string "no" included, would open it
-        require(group, GroupParams, "group")
-        require(master_key_reveal, bool, "master_key_reveal")
+        if type(group) is not GroupParams:
+            require(group, GroupParams, "group")
+        if type(master_key_reveal) is not bool:
+            require(master_key_reveal, bool, "master_key_reveal")
         self.params = group
         self._alpha = random_scalar(rng, self.params)
         self._master_key_reveal = master_key_reveal
@@ -64,10 +70,19 @@ class KGC:
         """Return an identity's key pair, a pure function of the master
         secret and the identity: the same identity always gets equal
         material. An empty identity, or one UTF-8 cannot encode, is
-        refused by hash_to_group."""
-        require(identity, str, "identity")
+        refused by hash_to_group.
+
+        The key is built without rerunning IdentityKey's checks, which
+        could not fail here: the identity has passed `require` and
+        hash_to_group, the base is a non-identity point of self.params, and
+        the private key is that point to the power alpha in [1, q), so it
+        is a non-identity point of the same group as well."""
+        if type(identity) is not str:
+            require(identity, str, "identity")
         base = hash_to_group(self.params, identity)
-        return IdentityKey(identity, base, base**self._alpha)
+        key = _new(IdentityKey)
+        vars(key).update(identity=identity, public_key=base, private_key=base**self._alpha)
+        return key
 
     def reveal_master_key(self) -> int:
         """Hand the master secret to the caller. Gated: the KGC must have

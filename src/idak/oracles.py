@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
-from .errors import EmptyIdentityError, GroupMismatchError, ParameterError, require
+from .errors import EmptyIdentityError, GroupMismatchError, IdakError, ParameterError, require
 from .group import GElem, GroupParams, GTElem, same_params
 
 DIGEST = "sha256"  # the hash in _digest, named in the handshake JSON
@@ -69,7 +69,16 @@ def require_identity(identity: object, name: str) -> None:
     """Raise unless identity is a nonempty str that UTF-8 encodes: a
     ParameterError for another type or an unencodable str, an
     EmptyIdentityError for "". Identities are checked this way where
-    they enter, so no oracle fails on one later."""
+    they enter, so no oracle fails on one later. A str is looked up in
+    the `_frame` memo first, which holds only identities that passed, so
+    one checked before costs a cache hit; any other value, and a str
+    that fails, is checked in full for the error naming `name`."""
+    if type(identity) is str:
+        try:
+            _frame(identity)
+            return
+        except IdakError:
+            pass
     require(identity, str, name)
     _identity_bytes(identity, name)
 
@@ -96,7 +105,7 @@ def hash_to_group(group: GroupParams, identity: str) -> GElem:
 
 
 def _same_group(r_first: GElem, r_second: GElem) -> GroupParams:
-    if not same_params(r_first.params, r_second.params):
+    if r_first.params is not r_second.params and not same_params(r_first.params, r_second.params):
         raise GroupMismatchError("transcript elements from different group instantiations")
     return r_first.params
 

@@ -34,8 +34,9 @@ exponent, r_in's and x + s_own): pairing private_key with
 read costs three sha256 calls, one pairing and one new source element.
 It draws nothing from the RNG and cannot fail once `complete_session`
 has accepted, because every input was checked where it entered:
-`IdentityKey` checks the identity and both key points, `start_session`
-the peer and `complete_session` the element. The time of a key's first
+`IdentityKey` checks the identity and both key points (`KGC.extract`
+builds only keys that pass), `start_session` the peer and
+`complete_session` the element. The time of a key's first
 read therefore changes no output byte. In the eCK game a key is seen
 only through a session-key reveal or the Test query, and most keys are
 never read.
@@ -127,11 +128,16 @@ def start_session(
     Keys that are not an IdentityKey, a peer that is not a nonempty str
     UTF-8 can encode, or a role or variant of the wrong type are rejected
     before the draw."""
-    require(keys, IdentityKey, "keys")
+    # exact classes first, the types every caller in the package passes;
+    # require then refuses anything else with its usual error
+    if type(keys) is not IdentityKey:
+        require(keys, IdentityKey, "keys")
     require_identity(peer, "peer")
-    require(role, Role, "role")
+    if type(role) is not Role:
+        require(role, Role, "role")
     # any other variant would silently run the hardened arithmetic
-    require(variant, Variant, "variant")
+    if type(variant) is not Variant:
+        require(variant, Variant, "variant")
     x = random_scalar(rng, keys.public_key.params)
     r_out = keys.public_key**x
     session = Session(keys.identity, peer, role, variant, x, r_out, keys)
@@ -153,7 +159,8 @@ def complete_session(session: Session, r_in: GElem) -> None:
         raise SessionStateError("session has already accepted")
     if not isinstance(r_in, GElem):
         raise InvalidElementError("incoming message is not a source-group element")
-    if not same_params(r_in.params, session.r_out.params):
+    params = session.r_out.params
+    if r_in.params is not params and not same_params(r_in.params, params):
         raise GroupMismatchError("incoming element from a different group instantiation")
     if r_in.is_identity:
         raise InvalidElementError("identity element rejected as an exchange message")

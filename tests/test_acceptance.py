@@ -109,7 +109,9 @@ def test_criterion_3_misbinding_differential():
     recorded (the keys do not coincide, so the honest success predicate
     stays false). Hardened, which also binds both identities into the
     s-values and the identities and the ordered transcript into the key
-    derivation: success false with distinct keys as well."""
+    derivation: success false with distinct keys as well. What the
+    hardening does stop is key replication by role confusion, in
+    test_ecksim.py::test_role_swap_replicates_only_the_original_key."""
     with _Timer("3 misbinding differential"):
         for seed in range(1000):
             report = run_uks(Variant.ORIGINAL, seed)

@@ -238,6 +238,29 @@ def test_command_argvs_skip_the_top_level_pass(monkeypatch, capsys):
     assert capsys.readouterr().err.endswith("idak: error: unrecognized arguments: stray\n")
 
 
+def _refuse_subparser_passes(monkeypatch):
+    """Make every command subparser's own pass raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subparser ran its pass")
+
+    for command in cli._parser().commands.values():
+        monkeypatch.setattr(command, "parse_known_args", refuse)
+
+
+def test_frozen_argvs_are_read_from_the_option_table(monkeypatch, capsys):
+    """Every frozen argv, a command and exact `--option value` pairs,
+    prints its frozen bytes with no parser pass at all, top-level or
+    subparser; an argv the table cannot settle goes to the subparser."""
+    _refuse_top_level_pass(monkeypatch)
+    _refuse_subparser_passes(monkeypatch)
+    for key, digest in FROZEN_DIGESTS.items():
+        assert main(frozen_argv(key)) == 0
+        assert stdout_digest(capsys) == digest
+    with pytest.raises(AssertionError, match="a subparser ran its pass"):
+        main(["handshake", "--seed=3"])
+
+
 def test_main_without_argv_routes_sys_argv(monkeypatch, capsys):
     _refuse_top_level_pass(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["idak", "handshake", "--seed", "3", "--variant", "original"])
@@ -260,11 +283,28 @@ _TOKENS = [
     "--",
     "-",
 ]
+# canonical argvs, a command and exact `--option value` pairs, are read from
+# the option table; these values pass or fail each option's type and
+# choices, and some start with "-", which only the subparser may judge
+_OPTIONS = ("--variant", "--seed", "--q", "--trials", "--out")
+_VALUES = (
+    *("original", "hardened", "fancy", "Original"),
+    *("0", "3", "18446744073709551615", "18446744073709551616", "x", "", " 3", "3.0"),
+    *("101", "5", "1000004"),
+    "/tmp/x",
+    *("-1", "-", "--", "-h", "--seed"),
+)
+_canonical = st.tuples(
+    st.sampled_from(_NAMES),
+    st.lists(st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)), max_size=4),
+).map(lambda drawn: [drawn[0], *(token for pair in drawn[1] for token in pair)])
 _argvs = st.one_of(
     st.lists(st.sampled_from(_TOKENS), max_size=7),
     st.tuples(st.sampled_from(_NAMES), st.lists(st.sampled_from(_TOKENS), max_size=6)).map(
         lambda drawn: [drawn[0], *drawn[1]]
     ),
+    _canonical,
+    _canonical,
 )
 
 
@@ -279,7 +319,7 @@ def _parse_outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=240, deadline=None)
 @given(_argvs)
 def test_routed_parse_matches_the_whole_parser(argv):
     """The routed parse gives what a freshly built parser's `parse_args`

@@ -541,6 +541,39 @@ def test_adversary_registered_peer_is_never_fresh(variant):
         assert report["hidden_bit"] == report["guess"]
 
 
+def role_swap_adversary(variant, seed):
+    """Key replication by role confusion: alice opens a session to bob and
+    bob one to alice, both as initiator, and each is handed the other's
+    element. Both accept, and neither matches the other, since a match
+    needs complementary roles. The adversary reveals bob's key, tests
+    alice's session, which stays fresh, and guesses that the answer is
+    real exactly when it equals bob's key."""
+    world = make_world(seed, variant)
+    h_alice, r_alice = world.activate("alice", "bob", Role.INITIATOR)
+    h_bob, r_bob = world.activate("bob", "alice", Role.INITIATOR)
+    world.deliver(h_alice, r_bob)
+    world.deliver(h_bob, r_alice)
+    for handle in (h_alice, h_bob):
+        assert world.session(handle).status is Status.ACCEPTED
+        assert world.matching_session(handle) is None
+    revealed = world.key_reveal(h_bob)
+    answer = world.test(h_alice)
+    return world.guess(0 if answer == revealed else 1)
+
+
+def test_role_swap_replicates_only_the_original_key():
+    """On the original variant both sessions hash the same message pair in
+    swapped roles, so the s-values swap too, the shared values agree and
+    KDF0 of the shared value alone gives equal keys: the adversary wins
+    every seed. The hardened KDF binds the transcript in initiator-first
+    order, which differs between the two sessions, so there the adversary
+    only guesses (about 4 standard deviations either side of one half)."""
+    outcomes = [role_swap_adversary(Variant.ORIGINAL, seed) for seed in range(1000)]
+    assert outcomes == [Outcome.WIN] * 1000
+    wins = sum(role_swap_adversary(Variant.HARDENED, seed) is Outcome.WIN for seed in range(1000))
+    assert 437 <= wins <= 563, wins
+
+
 # repeated kinds weight the draw toward completed, revealed and tested sessions
 _KINDS = (
     ("activate",) * 2

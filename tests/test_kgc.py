@@ -5,6 +5,7 @@ import random
 import pytest
 
 from idak import (
+    DEFAULT_Q,
     KGC,
     GroupParams,
     IdentityKey,
@@ -47,6 +48,25 @@ def test_extract_idempotent():
     kgc = make_kgc()
     first = kgc.extract("alice")
     assert kgc.extract("alice") == first
+
+
+# at q = 101, "eve78" hashes to alice's identity point
+_NAMES = ("alice", "bob", "eve", "eve78", "a", "\u00e9", "\u2028", "x" * 300, *(f"p{k}" for k in range(40)))
+
+
+@pytest.mark.parametrize("q", [5, 7, 101, DEFAULT_Q])
+def test_extract_builds_what_the_public_constructor_builds(q):
+    """KGC.extract skips IdentityKey's checks; every key it returns passes
+    them and equals the key the public constructor builds from the same
+    fields, over master keys that cover every alpha at q = 5 and 7."""
+    for seed in range(20):
+        kgc = make_kgc(seed=seed, q=q)
+        for name in _NAMES:
+            keys = kgc.extract(name)
+            assert type(keys) is IdentityKey
+            assert IdentityKey(keys.identity, keys.public_key, keys.private_key) == keys
+        if q == 101:
+            assert kgc.extract("eve78").private_key == kgc.extract("alice").private_key
 
 
 def test_extract_rejects_non_str_identity():

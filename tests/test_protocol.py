@@ -129,6 +129,25 @@ def test_start_session_rejects_non_identity_keys():
     assert rng.getstate() == state
 
 
+def test_a_checked_peer_is_found_in_the_frame_memo(monkeypatch):
+    """start_session encodes a peer once: later sessions to the same peer
+    find it in the `_frame` memo. A peer that fails is never memoised, so
+    it fails again, with the error that names it as the peer."""
+    rng = random.Random(4)
+    alice = KGC(rng, GroupParams(DEFAULT_Q)).extract("alice")
+    oracles._frame.cache_clear()
+    encoded = []
+    real = oracles._identity_bytes
+    monkeypatch.setattr(oracles, "_identity_bytes", lambda *a: encoded.append(a) or real(*a))
+    for _ in range(3):
+        start_session(alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
+    assert encoded == [("bob",)]
+    for _ in range(2):
+        with pytest.raises(EmptyIdentityError, match="^peer must be a nonempty string$"):
+            start_session(alice, "", Role.INITIATOR, Variant.HARDENED, rng)
+    assert oracles._frame.cache_info().currsize == 1
+
+
 def accepted_pair(variant, seed, q):
     """An honest alice/bob exchange completed on both sides, keys unread."""
     rng = random.Random(seed)
