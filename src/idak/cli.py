@@ -9,16 +9,15 @@ is data in the JSON, not an exit code.
 Documents are rendered exactly as `json.dumps(doc, indent=2)` would render
 them, byte for byte, by `_render`. With `indent` set, json on Python 3.11
 does not use its C encoder: it walks the document through a chain of
-Python generators, at about twice the cost. `_render` walks only the
-containers in Python and hands every string to json's C escaper and
-every number to `int.__repr__` or `float.__repr__`. The 80 rows of the
-freshness truth table, most of its document, skip even that walk: they
-share one shape, so `_TruthTableRows` fills one positional row template,
-built once per call, with each row's two bools, its query names (each
-through the C escaper, joined) and its clause. The whole document then
-renders in about 0.35x the time of `_render`'s walk over it (CPython
-3.11, 2 cores); the document head and every other command go through
-`_render`.
+Python generators. `_render` walks the containers with one recursive
+writer that appends to a single list of parts. A leaf of an exact JSON
+type (str, bool, None, int, float) is written from its type by one table
+lookup, through json's C escaper or `int.__repr__`, with no call of the
+writer; any other value goes through json's isinstance tests in json's
+order, so a subclass is written as json writes it. The 80 rows of the
+freshness truth table, most of its document, skip the walk: each row is
+its plan row's head, built once per indent on the first render, and the
+text of its verdict, one of the six that `is_fresh` returns.
 
 `main` routes on the command word, and the namespace, output and exit
 status are those of the whole parser for every argv. An argv that does
@@ -52,9 +51,11 @@ from .attacks import (
     run_uks,
 )
 from .ecksim import (
-    freshness_truth_table,
+    TRUTH_TABLE_PLAN,
+    VERDICTS,
     run_honest_exchange,
     run_random_guess_adversary,
+    truth_table_verdicts,
     two_party_world,
 )
 from .errors import ParameterError
@@ -266,16 +267,16 @@ def _cmd_eck_batch(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_freshness_table(args: argparse.Namespace) -> tuple[dict, str]:
-    rows = freshness_truth_table(args.seed, Variant(args.variant), args.q)
+    verdicts = truth_table_verdicts(args.seed, Variant(args.variant), args.q)
     doc = {
         "command": "freshness-table",
         "variant": args.variant,
         "seed": args.seed,
         "q": str(args.q),
-        "rows": _TruthTableRows(rows),
+        "rows": _TruthTableRows(verdicts),
     }
-    fresh = sum(1 for row in rows if row["fresh"])
-    return doc, f"freshness-table: {len(rows)} rows, {fresh} fresh"
+    fresh = sum(1 for verdict in verdicts if verdict.fresh)
+    return doc, f"freshness-table: {len(verdicts)} rows, {fresh} fresh"
 
 
 # command name -> (handler, help); the order is the order of `--help`
@@ -293,85 +294,110 @@ _COMMANDS = {
 _INFINITY = float("inf")
 
 
-class _TruthTableRows:
-    """The rows of `freshness_truth_table` as a document value: `_render`
-    hands them to `render`, which writes what `_render` writes for the list
-    of row dicts through one positional row template."""
+def _float(value: float) -> str:
+    """A float as json writes it, NaN and the infinities included."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
 
-    __slots__ = ("rows",)
 
-    def __init__(self, rows: list[dict]) -> None:
-        self.rows = rows
+# exact type -> its JSON text, for the leaves written without a walk
+_LEAVES = {
+    str: _escape,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    int: int.__repr__,
+    float: _float,
+}
+# the types json tests with isinstance, in its order: a value of any other
+# type is written as the first of these it is an instance of
+_JSON_TYPES = (str, int, float, list, tuple, dict)
 
-    def render(self, indent: str) -> str:
-        """The rows at `indent`, as `_render(self.rows, indent)` gives them.
-        There is at least one row, and each has the keys of `keys` in that
-        order, the order freshness_truth_table writes them in: two bools, a
-        list of str and a str or None."""
-        keys = ("matching_session_exists", "queries", "fresh", "violated_clause")
-        row_indent = indent + "  "
-        key_indent = row_indent + "  "
-        query_indent = key_indent + "  "
-        template = (
-            row_indent + "{\n"
-            + ",\n".join(key_indent + _escape(key) + ": %s" for key in keys)
-            + "\n" + row_indent + "}"
-        )
-        opening, separator = "[\n" + query_indent, ",\n" + query_indent
-        closing = "\n" + key_indent + "]"
-        rendered = []
-        for entry in self.rows:
-            queries, clause = entry["queries"], entry["violated_clause"]
-            rendered.append(
-                template
-                % (
-                    "true" if entry["matching_session_exists"] else "false",
-                    opening + separator.join(map(_escape, queries)) + closing if queries else "[]",
-                    "true" if entry["fresh"] else "false",
-                    "null" if clause is None else _escape(clause),
-                )
-            )
-        return "[\n" + ",\n".join(rendered) + "\n" + indent + "]"
+
+class _TruthTableRows(tuple):
+    """The freshness truth table's verdicts, in TRUTH_TABLE_PLAN order, as a
+    document value: `_write` writes the row dicts freshness_truth_table gives."""
+
+
+@functools.cache
+def _row_texts(indent: str) -> tuple[tuple[str, ...], dict]:
+    """The truth-table rows in a list at `indent`, in two parts: per plan
+    row, its text up to the value of "fresh", and per verdict, by its
+    clause, the text that ends a row. Built on the first render."""
+    row, key = indent + "  ", indent + "    "
+    heads = tuple(
+        f'{row}{{\n{key}"matching_session_exists": {_render(matched, key)},\n'
+        f'{key}"queries": {_render(list(queries), key)},\n{key}"fresh": '
+        for matched, queries in TRUTH_TABLE_PLAN
+    )
+    tails = {
+        v.violated_clause: f"{_render(v.fresh, key)},\n"
+        f'{key}"violated_clause": {_render(v.violated_clause, key)}\n{row}}}'
+        for v in VERDICTS
+    }
+    return heads, tails
 
 
 def _render(value: object, indent: str) -> str:
     """`json.dumps(value, indent=2)` for a value nested `indent` deep: the
     same bytes, the same NaN and Infinity spellings, and the same TypeError
     for a type json cannot encode. Object keys must be str."""
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
+    parts: list[str] = []
+    _write(value, indent, parts, parts.append)
+    return "".join(parts)
+
+
+def _write(value: object, indent: str, parts: list[str], add) -> None:
+    """Append `value`'s text, nested `indent` deep, to `parts`, whose
+    append is `add`. A leaf or container of an exact JSON type is written
+    from its type alone; any other value as the first of json's types it
+    is an instance of. Each item separator is appended after its item,
+    and a container's closing line replaces the last one."""
+    kind = type(value)
+    leaf = _LEAVES.get(kind)
+    if leaf is None and kind is not dict and kind is not list:
+        if kind is _TruthTableRows:
+            heads, tails = _row_texts(indent)
+            rows = [head + tails[v.violated_clause] for head, v in zip(heads, value)]
+            add("[\n" + ",\n".join(rows) + "\n" + indent + "]")
+            return
+        kind = next((base for base in _JSON_TYPES if isinstance(value, base)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        add(leaf(value))
+        return
+    if not value:
+        add("{}" if kind is dict else "[]")
+        return
     inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_escape(key) + ": " + _render(item, inner) for key, item in value.items()]
-        opening, closing = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_render(item, inner) for item in value]
-        opening, closing = "[", "]"
-    elif type(value) is _TruthTableRows:
-        return value.render(indent)
+    separator = ",\n" + inner
+    if kind is dict:
+        add("{\n" + inner)
+        for key, item in value.items():
+            add(_escape(key) + ": ")
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                _write(item, inner, parts, add)
+            else:
+                add(leaf(item))
+            add(separator)
+        parts[-1] = "\n" + indent + "}"
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
+        add("[\n" + inner)
+        for item in value:
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                _write(item, inner, parts, add)
+            else:
+                add(leaf(item))
+            add(separator)
+        parts[-1] = "\n" + indent + "]"
 
 
 def main(argv: list[str] | None = None) -> int:

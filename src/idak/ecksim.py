@@ -130,6 +130,7 @@ _CLAUSE_2A = FreshnessVerdict(False, "2a")
 _CLAUSE_2B = FreshnessVerdict(False, "2b")
 _CLAUSE_3A = FreshnessVerdict(False, "3a")
 _CLAUSE_3B = FreshnessVerdict(False, "3b")
+VERDICTS = (_FRESH, _CLAUSE_1, _CLAUSE_2A, _CLAUSE_2B, _CLAUSE_3A, _CLAUSE_3B)
 
 
 class Outcome(Enum):
@@ -459,67 +460,73 @@ def _row_plan(atoms: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
 
 _ROWS_MATCHED = _row_plan(_ATOMS_MATCHED)
 _ROWS_UNMATCHED = _row_plan(_ATOMS_UNMATCHED)
+# the truth table's 80 rows in order: (matching session exists, queries)
+TRUTH_TABLE_PLAN = tuple((True, r) for r in _ROWS_MATCHED) + tuple((False, r) for r in _ROWS_UNMATCHED)
 
 
-def freshness_truth_table(
+def truth_table_verdicts(
     seed: int = 0, variant: Variant = Variant.HARDENED, q: int = DEFAULT_Q
-) -> list[dict]:
-    """Exhaustive freshness enumeration over real worlds.
+) -> list[FreshnessVerdict]:
+    """The verdict of each row of TRUTH_TABLE_PLAN, in plan order, all
+    taken on one world. The honest exchange gives sid and its match sid*.
+    A second alice session, fed bob's element squared, is the unmatched
+    sid: bob's element is never the identity, so its square is neither
+    the identity nor bob's element, no session saw that transcript, and
+    the session can never match.
 
-    Each branch (matching session present or absent) builds one world and
-    runs its exchange once, honest or with a tampered response. The row
-    plan, every subset of the branch's reveal queries built once at
-    import, fixes the rows and their order. The branch is walked in pairs:
-    row m of the first half and row m + half, which holds the same queries
-    plus the branch's last atom. For each pair the world's query log is
-    cleared once, row m's queries are issued for real through the public
-    reveal methods and its verdict is taken, then the last atom is issued
-    on top and the verdict of row m + half is taken. At every verdict the
-    log holds exactly that row's queries in atom order, so each verdict is
-    the one a world built afresh for the row would give, since reveals
-    draw nothing from the RNG. Rows are returned in plan order.
-    2^6 matched rows plus 2^4 unmatched rows, 80 in total.
-    """
-    rows: list[dict] = []
-    for matched in (True, False):
-        world = two_party_world(seed, variant, q)
-        if matched:
-            h_sid, h_star = run_honest_exchange(world, "alice", "bob")
-        else:
-            h_sid, r_sid = world.activate("alice", "bob", Role.INITIATOR)
-            h_other, r_other = world.activate("bob", "alice", Role.RESPONDER)
-            # tampered response: alice accepts a transcript bob never saw;
-            # squaring keeps it off the identity and off r_other for q > 3
-            world.deliver(h_sid, r_other**2)
-            world.deliver(h_other, r_sid)
-            h_star = None
+    Each branch is walked in pairs: row m of the first half and row
+    m + half, which holds the same queries plus the branch's last atom.
+    For each pair the query log is cleared once, row m's queries are
+    issued for real through the public reveal methods and its verdict is
+    taken, then the last atom is issued on top and the verdict of row
+    m + half is taken. At every verdict the log holds exactly that row's
+    queries in atom order, so each verdict is the one a world built
+    afresh for the row would give, since reveals draw nothing from the
+    RNG and sessions the log does not name take no part in a verdict."""
+    world = two_party_world(seed, variant, q)
+    h_sid, h_star = run_honest_exchange(world, "alice", "bob")
+    h_lone, _ = world.activate("alice", "bob", Role.INITIATOR)
+    world.deliver(h_lone, world.session(h_star).r_out ** 2)
+    verdicts: list[FreshnessVerdict] = []
+    for sid, star, plan in ((h_sid, h_star, _ROWS_MATCHED), (h_lone, None, _ROWS_UNMATCHED)):
         reveals = {
-            "SessionKeyReveal(sid)": (world.key_reveal, h_sid),
-            "SessionKeyReveal(sid*)": (world.key_reveal, h_star),
+            "SessionKeyReveal(sid)": (world.key_reveal, sid),
+            "SessionKeyReveal(sid*)": (world.key_reveal, star),
             "PrivateKeyReveal(owner)": (world.private_reveal, "alice"),
             "PrivateKeyReveal(peer)": (world.private_reveal, "bob"),
-            "EphemeralKeyReveal(sid)": (world.eph_reveal, h_sid),
-            "EphemeralKeyReveal(sid*)": (world.eph_reveal, h_star),
+            "EphemeralKeyReveal(sid)": (world.eph_reveal, sid),
+            "EphemeralKeyReveal(sid*)": (world.eph_reveal, star),
         }
-        plan = _ROWS_MATCHED if matched else _ROWS_UNMATCHED
         half = len(plan) // 2
         last_query, last_argument = reveals[plan[-1][-1]]
-        verdicts: list = [None] * len(plan)
+        branch: list = [None] * len(plan)
         for m in range(half):
             world._clear_queries()
             for atom in plan[m]:
                 query, argument = reveals[atom]
                 query(argument)
-            verdicts[m] = world.is_fresh(h_sid)
+            branch[m] = world.is_fresh(sid)
             last_query(last_argument)
-            verdicts[m + half] = world.is_fresh(h_sid)
-        rows += [
-            {
-                "matching_session_exists": matched,
-                "queries": list(chosen),
-                "fresh": verdict.fresh,
-                "violated_clause": verdict.violated_clause,
-            }
-            for chosen, verdict in zip(plan, verdicts)
-        ]
-    return rows
+            branch[m + half] = world.is_fresh(sid)
+        verdicts += branch
+    return verdicts
+
+
+def freshness_truth_table(
+    seed: int = 0, variant: Variant = Variant.HARDENED, q: int = DEFAULT_Q
+) -> list[dict]:
+    """Exhaustive freshness enumeration over one real world: a row per
+    subset of each branch's reveal queries, 2^6 with a matching session
+    and 2^4 without, 80 in TRUTH_TABLE_PLAN order, judged by
+    `truth_table_verdicts`. Its unmatched sid is fed bob's element
+    squared, which no session sent, so it cannot match."""
+    verdicts = truth_table_verdicts(seed, variant, q)
+    return [
+        {
+            "matching_session_exists": matched,
+            "queries": list(queries),
+            "fresh": verdict.fresh,
+            "violated_clause": verdict.violated_clause,
+        }
+        for (matched, queries), verdict in zip(TRUTH_TABLE_PLAN, verdicts)
+    ]

@@ -151,7 +151,7 @@ class _Elem:
 
 
 # slot setters, bound once: _Elem._reduced, `**` and `pair`, on every group
-# operation's path, build through them
+# operation's path, and protocol's key derivation build through them
 _new = object.__new__
 _set_params = _Elem.params.__set__
 _set_exp = _Elem.exp.__set__

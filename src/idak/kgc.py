@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import CapabilityError, GroupMismatchError, InvalidElementError, require
 from .group import GElem, GroupParams, random_scalar, same_params
-from .oracles import hash_to_group, require_identity
+from .oracles import _identity_exponent, require_identity
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,23 @@ class KGC:
         """Return an identity's key pair, a pure function of the master
         secret and the identity: the same identity always gets equal
         material. An empty identity, or one UTF-8 cannot encode, is
-        refused by hash_to_group.
+        refused by the H1G hash.
 
-        The key is built without rerunning IdentityKey's checks, which
-        could not fail here: the identity has passed `require` and
-        hash_to_group, the base is a non-identity point of self.params, and
-        the private key is that point to the power alpha in [1, q), so it
-        is a non-identity point of the same group as well."""
+        Both points are built from the identity's memoised H1G exponent e,
+        as g^e (hash_to_group's point) and g^(e * alpha), without rerunning
+        IdentityKey's checks, which could not fail here: the identity has
+        passed `require` and the hash, and e and alpha lie in [1, q) for a
+        prime q, so both are non-identity points of self.params."""
         if type(identity) is not str:
             require(identity, str, "identity")
-        base = hash_to_group(self.params, identity)
+        params = self.params
+        exponent = _identity_exponent(identity, params.q)
         key = _new(IdentityKey)
-        vars(key).update(identity=identity, public_key=base, private_key=base**self._alpha)
+        vars(key).update(
+            identity=identity,
+            public_key=GElem._reduced(params, exponent),
+            private_key=GElem._reduced(params, exponent * self._alpha % params.q),
+        )
         return key
 
     def reveal_master_key(self) -> int:

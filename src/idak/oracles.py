@@ -15,16 +15,14 @@ length prefix wherever two of them meet, keeping the encoding injective;
 a str that UTF-8 cannot encode is refused (`require_identity`). Scalars
 come out as 1 + (digest mod (q-1)) and therefore never hit zero.
 
-One set of private encoders lays out the PI0, PI1 and KDF inputs from
-framed identities and encoded elements. The package turns a transcript
-into a key only through `session_hashes`, which computes the two
-s-values and the KDF input in one pass, encoding each element and
-framing each identity once, and `derive_key`, which completes that
-input with the shared value. The single-oracle functions
-(`transcript_scalar`, `bound_scalar`, `derive_key_plain`,
-`derive_key_bound`) are built on the same encoders and stay as the
-reference definition of each oracle, for the tests and the
-benchmark's tracer.
+The package turns a transcript into a key only through
+`session_hashes`, the one place the PI0, PI1 and KDF inputs are laid
+out, which computes the two s-values and the KDF input in one pass,
+encoding each element and framing each identity once, and
+`derive_key`, which completes that input with the shared value. The
+single-oracle functions (`transcript_scalar`, `bound_scalar`,
+`derive_key_plain`, `derive_key_bound`) read their values from those
+two and stay for the tests and the benchmark's tracer.
 
 The H1G exponent of each (identity, q) and the framing of each identity
 are memoised in bounded LRU caches of _MEMO_SIZE entries, so a party's
@@ -104,76 +102,6 @@ def hash_to_group(group: GroupParams, identity: str) -> GElem:
     return GElem._reduced(group, _identity_exponent(identity, group.q))
 
 
-def _same_group(r_first: GElem, r_second: GElem) -> GroupParams:
-    if r_first.params is not r_second.params and not same_params(r_first.params, r_second.params):
-        raise GroupMismatchError("transcript elements from different group instantiations")
-    return r_first.params
-
-
-# The encoders below are the one byte layout of the scalar and KDF inputs.
-# They take identities already framed and elements already encoded, so a
-# caller that hashes one transcript several times encodes it once.
-
-
-def _plain_scalar_input(e_first: bytes, e_second: bytes) -> bytes:
-    return _TAG_SCALAR_PLAIN + e_first + e_second
-
-
-def _bound_scalar_input(f_first: bytes, f_second: bytes, e_first: bytes, e_second: bytes) -> bytes:
-    return _TAG_SCALAR_BOUND + f_first + f_second + e_first + e_second
-
-
-def _bound_kdf_input(f_init: bytes, f_resp: bytes, e_init: bytes, e_resp: bytes) -> bytes:
-    """KDF input up to the shared value, whose encoding completes it."""
-    return _TAG_KDF_BOUND + f_init + f_resp + e_init + e_resp
-
-
-def transcript_scalar(r_first: GElem, r_second: GElem) -> int:
-    """Scalar hash of an ordered message pair. Order matters: swapping
-    the arguments is a different oracle input."""
-    q = _same_group(r_first, r_second).q
-    return _scalar(_plain_scalar_input(r_first.to_bytes(), r_second.to_bytes()), q)
-
-
-def bound_scalar(
-    id_first: str,
-    id_second: str,
-    r_first: GElem,
-    r_second: GElem,
-) -> int:
-    """Scalar hash binding both identities to the ordered message pair."""
-    q = _same_group(r_first, r_second).q
-    data = _bound_scalar_input(
-        _frame(id_first), _frame(id_second), r_first.to_bytes(), r_second.to_bytes()
-    )
-    return _scalar(data, q)
-
-
-def derive_key(kdf_input: bytes, shared: GTElem) -> bytes:
-    """32-byte session key: the digest of a KDF input completed by the
-    shared value's encoding."""
-    return _digest(kdf_input + shared.to_bytes())
-
-
-def derive_key_bound(
-    id_first: str,
-    id_second: str,
-    r_first: GElem,
-    r_second: GElem,
-    shared: GTElem,
-) -> bytes:
-    """32-byte session key over identities, transcript, and shared value."""
-    kdf_input = _bound_kdf_input(
-        _frame(id_first), _frame(id_second), r_first.to_bytes(), r_second.to_bytes()
-    )
-    return derive_key(kdf_input, shared)
-
-
-def derive_key_plain(shared: GTElem) -> bytes:
-    """32-byte session key from the shared value alone."""
-    return derive_key(_TAG_KDF_PLAIN, shared)
-
-
 def session_hashes(
     bound: bool,
     id_init: str,
@@ -184,22 +112,67 @@ def session_hashes(
     """Both s-values of an ordered transcript, (initiator, responder), and
     the KDF input that `derive_key` completes with the shared value, in
     one pass: each element is encoded once and, when bound, each identity
-    framed once. The bytes are those of transcript_scalar or bound_scalar
-    (both orders) and of derive_key_plain or derive_key_bound."""
-    q = _same_group(r_init, r_resp).q
+    framed once. This is the one layout of the PI0, PI1 and KDF inputs;
+    the single-oracle functions below read theirs from it."""
+    params = r_init.params
+    if r_resp.params is not params and not same_params(r_resp.params, params):
+        raise GroupMismatchError("transcript elements from different group instantiations")
+    # each s-value is 1 + (D(input) mod (q-1)), as in _scalar, written out
+    # here so a key read runs no helper frame per hash
+    modulus = params.q - 1
     e_init, e_resp = r_init.to_bytes(), r_resp.to_bytes()
     if not bound:
         return (
-            _scalar(_plain_scalar_input(e_init, e_resp), q),
-            _scalar(_plain_scalar_input(e_resp, e_init), q),
+            1 + int.from_bytes(_digest(_TAG_SCALAR_PLAIN + e_init + e_resp), "big") % modulus,
+            1 + int.from_bytes(_digest(_TAG_SCALAR_PLAIN + e_resp + e_init), "big") % modulus,
             _TAG_KDF_PLAIN,
         )
     f_init, f_resp = _frame(id_init), _frame(id_resp)
+    pi_init = _TAG_SCALAR_BOUND + f_init + f_resp + e_init + e_resp
+    pi_resp = _TAG_SCALAR_BOUND + f_resp + f_init + e_resp + e_init
     return (
-        _scalar(_bound_scalar_input(f_init, f_resp, e_init, e_resp), q),
-        _scalar(_bound_scalar_input(f_resp, f_init, e_resp, e_init), q),
-        _bound_kdf_input(f_init, f_resp, e_init, e_resp),
+        1 + int.from_bytes(_digest(pi_init), "big") % modulus,
+        1 + int.from_bytes(_digest(pi_resp), "big") % modulus,
+        _TAG_KDF_BOUND + f_init + f_resp + e_init + e_resp,
     )
+
+
+def derive_key(kdf_input: bytes, shared: GTElem) -> bytes:
+    """32-byte session key: the digest of a KDF input completed by the
+    shared value's encoding."""
+    return _digest(kdf_input + shared.to_bytes())
+
+
+def transcript_scalar(r_first: GElem, r_second: GElem) -> int:
+    """Scalar hash of an ordered message pair. Order matters: swapping
+    the arguments is a different oracle input."""
+    return session_hashes(False, "", "", r_first, r_second)[0]
+
+
+def bound_scalar(
+    id_first: str,
+    id_second: str,
+    r_first: GElem,
+    r_second: GElem,
+) -> int:
+    """Scalar hash binding both identities to the ordered message pair."""
+    return session_hashes(True, id_first, id_second, r_first, r_second)[0]
+
+
+def derive_key_bound(
+    id_first: str,
+    id_second: str,
+    r_first: GElem,
+    r_second: GElem,
+    shared: GTElem,
+) -> bytes:
+    """32-byte session key over identities, transcript, and shared value."""
+    return derive_key(session_hashes(True, id_first, id_second, r_first, r_second)[2], shared)
+
+
+def derive_key_plain(shared: GTElem) -> bytes:
+    """32-byte session key from the shared value alone."""
+    return derive_key(_TAG_KDF_PLAIN, shared)
 
 
 def key_digest(key: bytes) -> str:

@@ -48,16 +48,11 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
+from . import oracles
 from .errors import GroupMismatchError, InvalidElementError, SessionStateError, require
-from .group import GElem, pair, random_scalar, same_params
+from .group import GElem, _new, _set_exp, _set_params, pair, random_scalar, same_params
 from .kgc import IdentityKey
-from .oracles import (
-    _identity_exponent,
-    derive_key,
-    key_digest,
-    require_identity,
-    session_hashes,
-)
+from .oracles import _identity_exponent, key_digest, require_identity, session_hashes
 
 
 class Variant(Enum):
@@ -183,8 +178,12 @@ def _derive_key(session: Session) -> bytes:
     params = r_out.params
     q = params.q
     peer_term = (_identity_exponent(session.peer, q) * s_peer + r_in.exp) % q
-    operand = GElem._reduced(params, peer_term * (session.x + s_own) % q)
-    return derive_key(kdf_input, pair(session._keys.private_key, operand))
+    # GElem._reduced and oracles.derive_key written out, one frame each
+    # less per read; _digest is looked up on oracles at call time
+    operand = _new(GElem)
+    _set_params(operand, params)
+    _set_exp(operand, peer_term * (session.x + s_own) % q)
+    return oracles._digest(kdf_input + pair(session._keys.private_key, operand).to_bytes())
 
 
 def session_id(session: Session) -> SessionId:

@@ -1,5 +1,6 @@
 """Command-line front end: JSON documents, flags, exit codes."""
 
+import collections
 import contextlib
 import enum
 import hashlib
@@ -341,8 +342,35 @@ def test_cli_never_runs_the_pure_python_encoder(monkeypatch, capsys):
         assert stdout_digest(capsys) == digest
 
 
+# subclasses json accepts through its isinstance tests
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
 # every leaf json.dumps takes, at its edges: ints past 64 bits, -0.0, 1e22,
-# NaN and the infinities, non-ASCII, control and lone-surrogate characters
+# NaN and the infinities, non-ASCII, control and lone-surrogate characters,
+# and subclasses of str, int and float, an IntEnum member among them
 _leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -353,13 +381,21 @@ _leaves = st.one_of(
     st.sampled_from((-0.0, 1e22, 1e-7, math.nan, math.inf, -math.inf)),
     st.text(max_size=8),
     st.text(alphabet="\x00\x1f\x7f\"\\/\n\té\u2028\ud800\U0001f600", max_size=6),
+    st.text(max_size=6).map(_Text),
+    st.integers().map(_Count),
+    st.floats().map(_Real),
+    st.sampled_from(_Level),
 )
+_keys = st.one_of(st.text(max_size=6), st.text(max_size=6).map(_Text))
 _trees = st.recursive(
     _leaves,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(_keys, children, max_size=4),
+        st.lists(children, max_size=4).map(_Items),
+        st.lists(children, max_size=4).map(_Pair),
+        st.dictionaries(_keys, children, max_size=4).map(collections.OrderedDict),
     ),
     max_leaves=10,
 )
@@ -368,7 +404,9 @@ _trees = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(_trees)
 def test_render_is_json_dumps_with_indent_2(value):
-    """Trees of dicts with str keys, lists and tuples, empty ones included."""
+    """Trees of dicts with str keys, lists and tuples, empty ones included,
+    and of the subclasses json writes as their base type, so each exact-type
+    fast path is checked against json's isinstance fallbacks."""
     assert cli._render(value, "") == json.dumps(value, indent=2)
 
 

@@ -281,6 +281,36 @@ def test_truth_table_equals_a_world_per_row(seed, q, variant):
     assert freshness_truth_table(seed, variant, q) == truth_table_world_per_row(seed, variant, q)
 
 
+@pytest.mark.parametrize("variant", [Variant.ORIGINAL, Variant.HARDENED])
+@pytest.mark.parametrize("q", [5, 7, 13, 101])
+def test_lone_session_never_matches(monkeypatch, q, variant):
+    """The unmatched branch's sid, an alice session fed bob's element
+    squared, has no matching session on any of 200 seeds, also at the
+    orders where alice and bob share an identity point (5, 7, 13), and
+    every unmatched row is the reference verdict."""
+    judged = []
+    real_is_fresh = World.is_fresh
+
+    def recording_is_fresh(world, handle):
+        judged.append((world, handle))
+        return real_is_fresh(world, handle)
+
+    monkeypatch.setattr(World, "is_fresh", recording_is_fresh)
+    for seed in range(200):
+        judged.clear()
+        rows = freshness_truth_table(seed, variant, q)
+        # the matched branch takes the first 64 verdicts, the unmatched the last 16
+        assert {handle for _, handle in judged[64:]} == {3}
+        world, lone = judged[64]
+        assert world.matching_session(lone) is None
+        assert world.matching_session(judged[0][1]) == 2
+        for row in rows[64:]:
+            assert row["matching_session_exists"] is False
+            assert (row["fresh"], row["violated_clause"]) == reference_freshness(
+                False, atoms_by_point(row["queries"], q)
+            ), (seed, row)
+
+
 def test_cleared_queries_leave_no_trace():
     """After _clear_queries the log is empty and a verdict depends only on
     the queries issued since."""
@@ -727,10 +757,10 @@ def test_is_fresh_cost_does_not_grow_with_sessions(monkeypatch):
 
 
 def test_truth_table_builds_each_branch_once(monkeypatch):
-    """The 80 rows run on two worlds, one exchange each: 4 session starts
-    and 3 pairings, one per key the rows reveal (the unmatched branch
-    never reads bob's key), while every row still gets its own is_fresh
-    verdict."""
+    """The 80 rows run on one world: 3 session starts (the honest
+    exchange and the lone alice session) and 3 pairings, one per key the
+    rows reveal (sid, sid* and the lone session), while every row still
+    gets its own is_fresh verdict."""
     counts = {"pair": 0, "start_session": 0, "is_fresh": 0}
 
     def counting(name, real):
@@ -744,7 +774,7 @@ def test_truth_table_builds_each_branch_once(monkeypatch):
     monkeypatch.setattr(ecksim, "start_session", counting("start_session", ecksim.start_session))
     monkeypatch.setattr(World, "is_fresh", counting("is_fresh", World.is_fresh))
     assert len(freshness_truth_table()) == 80
-    assert counts == {"pair": 3, "start_session": 4, "is_fresh": 80}
+    assert counts == {"pair": 3, "start_session": 3, "is_fresh": 80}
 
 
 def test_truth_table_issues_each_rows_queries(monkeypatch):
@@ -769,8 +799,9 @@ def test_truth_table_issues_each_rows_queries(monkeypatch):
     real_is_fresh = World.is_fresh
 
     def logging_is_fresh(world, handle):
-        # both branches open alice's session first and bob's second
-        targets = {1: "sid", 2: "sid*", "alice": "owner", "bob": "peer"}
+        # the honest exchange opens alice's sid and bob's sid*, then the
+        # lone alice session is the unmatched branch's sid
+        targets = {1: "sid", 2: "sid*", 3: "sid", "alice": "owner", "bob": "peer"}
         logs.append(
             [
                 f"{r.kind.value}({targets[r.session if r.identity is None else r.identity]})"
