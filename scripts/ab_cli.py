@@ -8,7 +8,8 @@ REF (default HEAD) names the base side. Its `src/idak` is extracted with
 imported beside this checkout's `idak` from src/, so both run in one
 process on one interpreter. First every command, each variant, over a
 few seeds, must print the same stdout bytes and exit status on both
-sides; any difference stops the script with exit status 1. Then each
+sides; any difference stops the script with exit status 1, and with
+`--rounds 0` the script stops there, with status 0. Then each
 round runs, per command and variant, a batch of `--calls` main calls on
 each side, the side that goes first alternating from round to round.
 Each command's line gives the median over rounds of the mean time per
@@ -90,9 +91,15 @@ def batch(main, command: str, variant: str, seeds: range) -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", nargs="?", default="HEAD", help="git ref of the base side")
-    parser.add_argument("--rounds", type=int, default=40, help="timing rounds (default: 40)")
+    parser.add_argument(
+        "--rounds", type=int, default=40, help="timing rounds; 0 checks the bytes only (default: 40)"
+    )
     parser.add_argument("--calls", type=int, default=10, help="calls per batch (default: 10)")
     args = parser.parse_args()
+    if args.rounds < 0:
+        parser.error("--rounds must be 0 or more")
+    if args.calls < 1:
+        parser.error("--calls must be at least 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         extract(args.ref, Path(tmp))
@@ -114,6 +121,8 @@ def compare(sides: dict, args: argparse.Namespace) -> int:
                     return 1
     print(f"stdout equal on both sides: {len(COMMANDS)} commands x {len(VARIANTS)} variants "
           f"x {len(CHECK_SEEDS)} seeds")
+    if not args.rounds:
+        return 0
 
     # (command, side) -> per-round mean per call, both variants pooled
     times: dict[tuple[str, str], list[float]] = {}

@@ -226,12 +226,16 @@ class XChoice(Enum):
 
 
 def run_kci_attempt(
-    seed: int,
-    x_choice: XChoice,
-    corrupt_b: bool,
-    q: int = DEFAULT_Q,
+    seed: int, x_choice: XChoice, corrupt_b: bool, q: int = DEFAULT_Q
 ) -> AttackReport:
-    """Key-compromise impersonation attempt against the original variant.
+    """One cell of `run_kci_cells`; a non-bool corrupt_b fails before any world is built."""
+    require(corrupt_b, bool, "corrupt_b")
+    return run_kci_cells(seed, x_choice, q)[corrupt_b]
+
+
+def run_kci_cells(seed: int, x_choice: XChoice, q: int = DEFAULT_Q) -> list[AttackReport]:
+    """Key-compromise impersonation attempt against the original variant:
+    the reports of cells (x_choice, False) and (x_choice, True), in order.
 
     The adversary holds alice's long-term key and tries to impersonate
     bob to her: it lets alice's opening message through but replaces
@@ -246,28 +250,21 @@ def run_kci_attempt(
     (no matching session, peer corrupted). With bob uncorrupted no cell
     succeeds, so Wang's KCI claim stands here. The script records
     candidates only in branches whose inputs the adversary actually holds.
-    An x_choice that is not an XChoice, or a corrupt_b that is not a
-    bool, is rejected before the world is built.
+    Both cells share one world: they differ only in bob's reveal, which
+    draws nothing and changes no session. An x_choice that is not an
+    XChoice is rejected before the world is built.
     """
     # a string x_choice would silently run the random-element branch
     require(x_choice, XChoice, "x_choice")
-    require(corrupt_b, bool, "corrupt_b")
     variant = Variant.ORIGINAL
     world = two_party_world(seed, variant, q)
     group = world.params
     world.private_reveal("alice")
-    events = ["adversary revealed alice's long-term key"]
-    knowledge = ["private_key:alice"]
-    if corrupt_b:
-        bob = world.private_reveal("bob")
-        knowledge.append("private_key:bob")
-        events.append("adversary revealed bob's long-term key as well")
-
+    bob = world.private_reveal("bob")
     h_a, r_a = world.activate("alice", "bob", Role.INITIATOR)
     h_b, _ = world.activate("bob", "alice", Role.RESPONDER)
     world.deliver(h_b, r_a)
-    events.append("alice's opening message reached bob; bob responded and accepted")
-
+    events = ["alice's opening message reached bob; bob responded and accepted"]
     if x_choice is XChoice.IDENTITY_POINT_OF_B:
         x_sub = hash_to_group(group, "bob")
         events.append("adversary replaced bob's response with bob's identity point")
@@ -277,21 +274,31 @@ def run_kci_attempt(
     world.deliver(h_a, x_sub)
     events.append("alice accepted the substituted response, believing it came from bob")
 
-    if x_choice is XChoice.IDENTITY_POINT_OF_B and corrupt_b:
-        # X = bob's identity point, so X to the master key is bob's private
-        # key, and the candidate needs nothing the adversary lacks.
-        candidate = _transcript_key(world, r_a, x_sub, bob.private_key, bob.private_key)
-        knowledge.append(f"{_CANDIDATE}{key_digest(candidate)}")
-        events.append("adversary computed a candidate key from bob's private key")
-    else:
-        events.append(
-            "no candidate computable: the substituted element's master-key power "
-            "is out of the adversary's reach"
-        )
-
     parties = [_party_record(world, h_a), _party_record(world, h_b)]
-    success = kci_success(parties, knowledge)
-    return AttackReport("kci", variant.value, seed, parties, knowledge, success, events)
+    reports = []
+    for corrupt_b in (False, True):
+        knowledge = ["private_key:alice"]
+        cell_events = ["adversary revealed alice's long-term key"]
+        if corrupt_b:
+            knowledge.append("private_key:bob")
+            cell_events.append("adversary revealed bob's long-term key as well")
+        cell_events += events
+        if x_choice is XChoice.IDENTITY_POINT_OF_B and corrupt_b:
+            # X = bob's identity point, so X to the master key is bob's private
+            # key, and the candidate needs nothing the adversary lacks.
+            candidate = _transcript_key(world, r_a, x_sub, bob.private_key, bob.private_key)
+            knowledge.append(f"{_CANDIDATE}{key_digest(candidate)}")
+            cell_events.append("adversary computed a candidate key from bob's private key")
+        else:
+            cell_events.append(
+                "no candidate computable: the substituted element's master-key power "
+                "is out of the adversary's reach"
+            )
+        success = kci_success(parties, knowledge)
+        reports.append(
+            AttackReport("kci", variant.value, seed, parties[:], knowledge, success, cell_events)
+        )
+    return reports
 
 
 def run_dlog_extract_adversary(

@@ -46,7 +46,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from .attacks import (
     XChoice,
     run_dlog_extract_adversary,
-    run_kci_attempt,
+    run_kci_cells,
     run_master_key_break,
     run_uks,
 )
@@ -226,8 +226,7 @@ def _cmd_kci(args: argparse.Namespace) -> tuple[dict, str]:
     cells = []
     successes = 0
     for x_choice in XChoice:
-        for corrupt_b in (False, True):
-            report = run_kci_attempt(args.seed, x_choice, corrupt_b, args.q)
+        for corrupt_b, report in zip((False, True), run_kci_cells(args.seed, x_choice, args.q)):
             successes += report.success
             cells.append(
                 {

@@ -7,16 +7,21 @@ query or the Test query reads them, and only a read derives a key.
 Reveal queries (ephemeral scalar, long-term key, session key, extraction
 of fresh identities) are appended to a query log; the freshness rule is
 a pure function of that log and of which sessions accepted over which
-transcripts. `World` keeps four indexes in
-step with that state, all keyed by plain values (handles, names and
-exponents), so a verdict costs a few lookups however many sessions and
-queries there are. The accepted map `_accepted`, updated in `deliver`,
-files each accepted session's handle under the `SessionId` of the
-session that would match it, its `protocol.partner_id`, so a lookup
-builds one tuple. A session has accepted exactly when its `r_in` is
-set. Two sets of handles, the sessions whose key (`_key_revealed`) and
-whose ephemeral scalar (`_eph_revealed`) was revealed, and one set of
-identity points, the H1G exponents of the corrupted identities at the
+transcripts. `World` keeps five indexes in step with that state, all
+keyed by plain values (handles, names, exponents and transcripts), so a
+verdict costs a few lookups however many sessions and queries there are.
+`deliver` resolves each session's match as it accepts: `_cells` keeps,
+per conversation (the initiator's owner and peer and the ordered
+transcript), a one-item cell per role holding that role's smallest
+accepted handle, and `_match` points each accepted handle at the other
+role's cell. Sessions of one conversation either share a `SessionId` or
+hold each other's `protocol.partner_id`, so that item is the match sid*,
+whichever side accepts first, replays included; `is_fresh` and
+`matching_session` read it by handle and build no session id. A session
+has accepted exactly when its `r_in` is set, and then its handle is in
+`_match`. Two sets of handles, the sessions whose key (`_key_revealed`)
+and whose ephemeral scalar (`_eph_revealed`) was revealed, and one set
+of identity points, the H1G exponents of the corrupted identities at the
 world's q (`_corrupted`), are updated in `_record`, the one place the
 log grows, and emptied with the log in `_clear_queries`. Transcript
 exponents suffice as the match key because `complete_session` rejects
@@ -59,10 +64,8 @@ from .oracles import KEY_BYTES, _identity_exponent
 from .protocol import (
     Role,
     Session,
-    SessionId,
     Variant,
     complete_session,
-    session_id,
     start_session,
 )
 
@@ -169,12 +172,13 @@ class World:
         # indexes over self.log, filled by _record: the handles of sessions
         # whose key / ephemeral scalar was revealed, and the identity points
         # (H1G exponents) that a PrivateKeyReveal or Extract record corrupted;
-        # and over the accepted sessions, filled by deliver: the partner_id
-        # of each one -> its handle
+        # and over the accepted sessions, filled by deliver: _cells and
+        # _match, as the module docstring describes
         self._key_revealed: set[int] = set()
         self._eph_revealed: set[int] = set()
         self._corrupted: set[int] = set()
-        self._accepted: dict[SessionId, int] = {}
+        self._cells: dict[tuple[str, str, int, int], tuple[list, list]] = {}
+        self._match: dict[int, list[int | None]] = {}
         self._parties: dict[str, IdentityKey] = {}
         self._sessions: dict[int, Session] = {}
         self._next_handle = 1
@@ -195,7 +199,7 @@ class World:
         # start_session checks the peer
         if type(owner) is not str:
             require(owner, str, "owner")
-        keys = self._party_keys(owner)
+        keys = self._parties.get(owner) or self._party_keys(owner)  # which raises if unknown
         session, r_out = start_session(keys, peer, role, self.variant, self.rng)
         handle = self._next_handle
         self._next_handle += 1
@@ -206,23 +210,34 @@ class World:
         """Hand an element of the adversary's choice to a session. The
         session accepts (or rejects); nothing is returned, and the key is
         derived only if a reveal or the Test query reads it."""
-        session = self.session(handle)
+        # session() without its call for a known int handle; it raises for any other
+        session = self._sessions.get(handle) if type(handle) is int else None
+        session = session or self.session(handle)
         complete_session(session, element)
-        # partner_id(session_id(session)), built as one tuple
-        if session.role is Role.INITIATOR:
-            key = (session.peer, session.owner, False, session.r_out.exp, element.exp)
+        # the conversation key; of its cells, [0] holds responders, [1] initiators
+        initiator = session.role is Role.INITIATOR
+        if initiator:
+            key = (session.owner, session.peer, session.r_out.exp, element.exp)
         else:
-            key = (session.peer, session.owner, True, element.exp, session.r_out.exp)
-        # sessions may accept out of creation order; the smallest handle wins
-        if self._accepted.setdefault(key, handle) > handle:
-            self._accepted[key] = handle
+            key = (session.peer, session.owner, element.exp, session.r_out.exp)
+        cells = self._cells.get(key)
+        if cells is None:
+            # the conversation's first acceptance: its role's cell starts with it
+            cells = self._cells[key] = ([None], [handle]) if initiator else ([handle], [None])
+        elif cells[initiator][0] is None or cells[initiator][0] > handle:
+            # sessions may accept out of creation order; the smallest handle wins
+            cells[initiator][0] = handle
+        self._match[handle] = cells[not initiator]
 
     def matching_session(self, handle: int) -> int | None:
         """Handle of the accepted session matching crosswise, or None.
         When several accepted sessions share the partner's id (replayed
         transcripts), the smallest handle, the first created, wins. Raises
         SessionStateError while the session is still Active."""
-        return self._accepted.get(session_id(self.session(handle)))
+        if type(handle) is not int or handle not in self._match:
+            self.session(handle)  # QueryError for an unknown or non-int handle
+            raise SessionStateError("only an accepted session has a match or a freshness verdict")
+        return self._match[handle][0]
 
     def session(self, handle: int) -> Session:
         # bool and float handles would otherwise find the int key they equal
@@ -304,24 +319,23 @@ class World:
         current query log. Clauses are checked in order 1, 2a/3a, 2b/3b
         and the first violated one is reported.
 
-        The match sid* is one lookup in the accepted map; the clauses then
-        test handles in the two reveal sets (key, ephemeral) and identity
-        points in the corrupted set: the owner's from its key material, the
-        peer's memoised H1G exponent, looked up only when clause 2b or 3b
-        can still fire. The verdict is one of six shared constants."""
-        session = self.session(handle)
-        if session.r_in is None:
-            raise SessionStateError("freshness is defined only for accepted sessions")
-        star = self._accepted.get(session_id(session))
+        The match sid* is one int-keyed read of the session's cell; the
+        clauses then test handles in the two reveal sets (key, ephemeral)
+        and identity points in the corrupted set: the owner's from its key
+        material, the peer's memoised H1G exponent, each fetched only when
+        its clause can still fire. The verdict is one of six constants."""
+        if type(handle) is not int or handle not in self._match:
+            self.matching_session(handle)  # raises: unknown, non-int or Active handle
+        star = self._match[handle][0]
         keys, ephemerals, corrupted = self._key_revealed, self._eph_revealed, self._corrupted
 
         # star is None without a match, and None is in neither handle set
         if handle in keys or star in keys:
             return _CLAUSE_1
-        if handle in ephemerals and session._keys.public_key.exp in corrupted:
+        if handle in ephemerals and self._sessions[handle]._keys.public_key.exp in corrupted:
             return _CLAUSE_3A if star is None else _CLAUSE_2A
         if (star is None or star in ephemerals) and (
-            _identity_exponent(session.peer, self.params.q) in corrupted
+            _identity_exponent(self._sessions[handle].peer, self.params.q) in corrupted
         ):
             return _CLAUSE_3B if star is None else _CLAUSE_2B
         return _FRESH

@@ -157,7 +157,7 @@ def complete_session(session: Session, r_in: GElem) -> None:
     params = session.r_out.params
     if r_in.params is not params and not same_params(r_in.params, params):
         raise GroupMismatchError("incoming element from a different group instantiation")
-    if r_in.is_identity:
+    if r_in.exp == 0:  # is_identity, without the property's call
         raise InvalidElementError("identity element rejected as an exchange message")
     session.r_in = r_in
 

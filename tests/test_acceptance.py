@@ -109,8 +109,12 @@ def test_criterion_3_misbinding_differential():
     recorded (the keys do not coincide, so the honest success predicate
     stays false). Hardened, which also binds both identities into the
     s-values and the identities and the ordered transcript into the key
-    derivation: success false with distinct keys as well. What the
-    hardening does stop is key replication by role confusion, in
+    derivation: success false with distinct keys as well. At small q the
+    original variant's run can succeed (11/64 of runs at q = 5), but by a
+    chance collision of the two KDF0 shared values among q target-group
+    elements, not by a misbinding; the hardened KDF never collides
+    there (test_attacks.py::test_uks_small_q_success_is_a_kdf0_collision).
+    What the hardening does stop is key replication by role confusion, in
     test_ecksim.py::test_role_swap_replicates_only_the_original_key."""
     with _Timer("3 misbinding differential"):
         for seed in range(1000):

@@ -1,5 +1,7 @@
 """Attack scripts: recorded facts, honest success predicates, determinism."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +23,10 @@ from idak import (
 from idak import attacks
 from idak.ecksim import two_party_world
 from idak.errors import CapabilityError, ParameterError
+from idak.group import random_scalar
 from idak.oracles import hash_to_group, key_digest
 
-from conftest import reference_one_sided_key
+from conftest import reference_one_sided_key, reference_session_key
 
 VARIANTS = (Variant.ORIGINAL, Variant.HARDENED)
 
@@ -183,6 +186,98 @@ def test_succeeding_kci_cell_is_not_fresh():
         report = run_kci_attempt(seed, XChoice.IDENTITY_POINT_OF_B, True)
         assert report.success
         assert report.parties[0].key_digest == key_digest(world.session(h_a).key)
+
+
+def kci_cell_on_its_own_world(seed, x_choice, corrupt_b):
+    """Reference for one kci cell: its script replayed step by step, in its
+    own order, on a world of its own. The winning cell's candidate is
+    alice's key, which the cell asserts it reconstructs."""
+    world = two_party_world(seed, Variant.ORIGINAL)
+    world.private_reveal("alice")
+    events = ["adversary revealed alice's long-term key"]
+    knowledge = ["private_key:alice"]
+    if corrupt_b:
+        world.private_reveal("bob")
+        knowledge.append("private_key:bob")
+        events.append("adversary revealed bob's long-term key as well")
+    h_a, r_a = world.activate("alice", "bob", Role.INITIATOR)
+    h_b, _ = world.activate("bob", "alice", Role.RESPONDER)
+    world.deliver(h_b, r_a)
+    events.append("alice's opening message reached bob; bob responded and accepted")
+    if x_choice is XChoice.IDENTITY_POINT_OF_B:
+        x_sub = hash_to_group(world.params, "bob")
+        events.append("adversary replaced bob's response with bob's identity point")
+    else:
+        x_sub = world.params.g ** random_scalar(world.rng, world.params)
+        events.append(f"adversary replaced bob's response with a random element {x_sub.hex()}")
+    world.deliver(h_a, x_sub)
+    events.append("alice accepted the substituted response, believing it came from bob")
+    wins = x_choice is XChoice.IDENTITY_POINT_OF_B and corrupt_b
+    if wins:
+        knowledge.append(f"candidate_key_digest:{key_digest(world.session(h_a).key)}")
+        events.append("adversary computed a candidate key from bob's private key")
+    else:
+        events.append(
+            "no candidate computable: the substituted element's master-key power "
+            "is out of the adversary's reach"
+        )
+    parties = []
+    for handle in (h_a, h_b):
+        session = world.session(handle)
+        parties.append(
+            {
+                "id": session.owner,
+                "believed_peer": session.peer,
+                "accepted": True,
+                "key_digest": key_digest(session.key),
+            }
+        )
+    return {
+        "attack": "kci",
+        "variant": "original",
+        "seed": seed,
+        "parties": parties,
+        "adversary_knowledge": knowledge,
+        "success": wins,
+        "events": events,
+    }
+
+
+@pytest.mark.parametrize("x_choice", XChoice)
+def test_kci_cells_of_one_choice_share_a_world(x_choice):
+    """run_kci_cells runs both cells of an x_choice on one world, since
+    bob's reveal draws nothing and changes no session; each report, and
+    the one-cell run_kci_attempt built on it, equals the cell's script
+    replayed on a world of its own, over seeds 0-199."""
+    for seed in range(200):
+        cells = attacks.run_kci_cells(seed, x_choice)
+        assert len(cells) == 2
+        for corrupt_b, report in zip((False, True), cells):
+            want = kci_cell_on_its_own_world(seed, x_choice, corrupt_b)
+            assert report.to_json() == want, (seed, corrupt_b)
+            assert run_kci_attempt(seed, x_choice, corrupt_b).to_json() == want
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_uks_small_q_success_is_a_kdf0_collision(q):
+    """At small q the scripted misbinding can succeed on the original
+    variant, by chance: KDF0 hashes the shared value alone, and alice's
+    shared value (her run with bob) and bob's (his run with eve) collide
+    among q target-group elements (11/64 of runs at q = 5). So success is
+    exactly the equality of the two reference keys, drawn in the script's
+    order (master key, alice, eve, bob). The hardened KDF hashes the
+    identities and the transcript, so there it never succeeds."""
+    successes = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        alpha, x_alice, x_eve, x_bob = (rng.randrange(1, q) for _ in range(4))
+        alice_key = reference_session_key("original", q, 1, alpha, "alice", "bob", x_alice, x_bob)
+        bob_key = reference_session_key("original", q, 1, alpha, "eve", "bob", x_eve, x_bob)
+        report = run_uks(Variant.ORIGINAL, seed, q)
+        assert report.success is (alice_key == bob_key), seed
+        successes += report.success
+        assert run_uks(Variant.HARDENED, seed, q).success is False
+    assert successes > 0
 
 
 def test_kci_no_candidate_without_inputs():

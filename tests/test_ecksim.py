@@ -422,11 +422,25 @@ def test_reveal_indexes_route_by_kind():
     assert world.is_fresh(h_sid) == FreshnessVerdict(False, "3a")
 
 
-@pytest.mark.parametrize("later_accepts_first", [False, True], ids=["in-order", "later-first"])
-def test_matching_tiebreak_on_replayed_transcripts(later_accepts_first):
+# delivery orders of the two duplicates and h_init: "first" is the earlier
+# created duplicate, "second" the later one
+_TIEBREAK_ORDERS = {
+    "in-order": ("first", "second", "init"),
+    "later-first": ("second", "first", "init"),
+    "init-first-in-order": ("init", "first", "second"),
+    "init-first-later-first": ("init", "second", "first"),
+    "init-between-in-order": ("first", "init", "second"),
+    "init-between-later-first": ("second", "init", "first"),
+}
+
+
+@pytest.mark.parametrize("order", _TIEBREAK_ORDERS.values(), ids=_TIEBREAK_ORDERS.keys())
+def test_matching_tiebreak_on_replayed_transcripts(order):
     """At q=101 ephemeral collisions are easy to farm: when two accepted
     sessions share a transcript, the first in creation order wins, also
-    when the later-created duplicate accepts first."""
+    when the later-created duplicate accepts first, and whether h_init
+    accepts before both duplicates, between them or after them. Both
+    duplicates match h_init, and every answer agrees with a scan."""
     world = World(1, Variant.HARDENED, 101)
     world.add_party("alice")
     world.add_party("bob")
@@ -441,10 +455,18 @@ def test_matching_tiebreak_on_replayed_transcripts(later_accepts_first):
         seen[r_out] = handle
     assert duplicate is not None
     first, second = duplicate
-    for handle in (second, first) if later_accepts_first else (first, second):
-        world.deliver(handle, r_init)
-    world.deliver(h_init, world.session(first).r_out)
+    handles = {"first": first, "second": second, "init": h_init}
+    for name in order:
+        if name == "init":
+            world.deliver(h_init, world.session(first).r_out)
+        else:
+            world.deliver(handles[name], r_init)
+        for handle in handles.values():
+            if world.session(handle).status is Status.ACCEPTED:
+                star = scan_matching_session(world, handle, second)
+                assert world.matching_session(handle) == star
     assert world.matching_session(h_init) == first
+    assert world.matching_session(first) == world.matching_session(second) == h_init
 
 
 def test_game_mechanics_and_query_discipline():
@@ -738,22 +760,41 @@ def log_atoms(world, handle, star):
     return {atom for atom, holds in atoms.items() if holds}
 
 
-def test_is_fresh_cost_does_not_grow_with_sessions(monkeypatch):
-    """is_fresh on the newest session makes as many session_id calls in a
-    world of 1000 honest exchanges as in one of 10: exactly one, the id its
-    match lookup reads, and no scan over the other sessions."""
-    real = ecksim.session_id
-    calls = []
-    monkeypatch.setattr(ecksim, "session_id", lambda session: calls.append(1) or real(session))
-    counts = []
+class _NoScan(dict):
+    """A dict that answers lookups but refuses to be walked."""
+
+    def _refuse(self, *args):
+        raise AssertionError("scanned a session index")
+
+    __iter__ = keys = values = items = _refuse
+
+
+def test_is_fresh_cost_does_not_grow_with_sessions():
+    """is_fresh and matching_session never walk the sessions or the match
+    indexes, in a world of 10 honest exchanges and in one of 1,000. With
+    every dict of the world that grows with the sessions replaced by one
+    whose iteration raises, an exchange is judged on each path: fresh,
+    clause 1, and clauses 2a and 2b, where the session itself is fetched;
+    an active and an unknown handle still raise."""
     for exchanges in (10, 1000):
         world = make_world()
         for _ in range(exchanges):
-            _, newest = run_honest_exchange(world, "alice", "bob")
-        calls.clear()
-        assert world.is_fresh(newest).fresh
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == 1
+            h_init, h_resp = run_honest_exchange(world, "alice", "bob")
+        h_active, _ = world.activate("alice", "bob", Role.INITIATOR)
+        for name in ("_sessions", "_cells", "_match"):
+            setattr(world, name, _NoScan(getattr(world, name)))
+        assert world.is_fresh(h_init) == FreshnessVerdict(True)
+        assert world.matching_session(h_init) == h_resp
+        world.eph_reveal(h_init)
+        world.private_reveal("alice")
+        assert world.is_fresh(h_init) == FreshnessVerdict(False, "2a")
+        assert world.is_fresh(h_resp) == FreshnessVerdict(False, "2b")
+        world.key_reveal(h_resp)
+        assert world.is_fresh(h_init) == FreshnessVerdict(False, "1")
+        with pytest.raises(SessionStateError):
+            world.is_fresh(h_active)
+        with pytest.raises(QueryError):
+            world.is_fresh(h_active + 1)
 
 
 def test_truth_table_builds_each_branch_once(monkeypatch):
