@@ -7,9 +7,11 @@ REF (default HEAD) names the base side. Its `src/idak` is extracted with
 `git archive` into a temporary directory as the package `idak_base`, and
 imported beside this checkout's `idak` from src/, so both run in one
 process on one interpreter. First every command, each variant, over a
-few seeds, must print the same stdout bytes and exit status on both
-sides; any difference stops the script with exit status 1, and with
-`--rounds 0` the script stops there, with status 0. Then each
+few seeds, and each argv of `OTHER_ARGVS` (help, usage errors, refused
+values and the forms only argparse reads) must give the same exit
+status, stdout bytes and stderr bytes on both sides, an exit through
+`SystemExit` included; any difference stops the script with exit status
+1, and with `--rounds 0` the script stops there, with status 0. Then each
 round runs, per command and variant, a batch of `--calls` main calls on
 each side, the side that goes first alternating from round to round.
 Each command's line gives the median over rounds of the mean time per
@@ -48,6 +50,25 @@ COMMANDS = {
     "freshness-table": [],
 }
 CHECK_SEEDS = range(4)
+# argvs a command and exact `--option value` pairs do not cover: the help
+# texts, usage errors, values an option refuses, and an abbreviation and an
+# `--opt=value` that argparse accepts
+OTHER_ARGVS = [
+    [],
+    ["--help"],
+    ["-h"],
+    *([command, "-h"] for command in COMMANDS),
+    ["no-such-command"],
+    ["handshake", "--variant", "fancy"],
+    ["handshake", "--seed", "-1"],
+    ["handshake", "--seed"],
+    ["handshake", "stray"],
+    ["eck-batch", "--trials", "0"],
+    ["handshake", "--trials", "3"],
+    ["handshake", "--q", "4"],
+    ["handshake", "--se", "3"],
+    ["handshake", "--seed=3"],
+]
 
 
 def extract(ref: str, into: Path) -> None:
@@ -66,11 +87,16 @@ def extract(ref: str, into: Path) -> None:
                 target.write_bytes(tar.extractfile(member).read())
 
 
-def run(main, argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        status = main(argv)
-    return status, out.getvalue()
+def run(main, argv: list[str]) -> tuple[object, str, str]:
+    """Exit status, stdout and stderr of one main call; an argparse exit
+    gives the code of its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
 
 
 def argv(command: str, variant: str, seed: int) -> list[str]:
@@ -112,15 +138,17 @@ def main() -> int:
 
 
 def compare(sides: dict, args: argparse.Namespace) -> int:
-    for command in COMMANDS:
-        for variant in VARIANTS:
-            for seed in CHECK_SEEDS:
-                words = argv(command, variant, seed)
-                if run(sides["base"], words) != run(sides["change"], words):
-                    print("output differs:", " ".join(words))
-                    return 1
-    print(f"stdout equal on both sides: {len(COMMANDS)} commands x {len(VARIANTS)} variants "
-          f"x {len(CHECK_SEEDS)} seeds")
+    checked = [
+        *(argv(command, variant, seed)
+          for command in COMMANDS for variant in VARIANTS for seed in CHECK_SEEDS),
+        *OTHER_ARGVS,
+    ]
+    for words in checked:
+        if run(sides["base"], words) != run(sides["change"], words):
+            print("output differs:", " ".join(words))
+            return 1
+    print(f"exit status, stdout and stderr equal on both sides: {len(COMMANDS)} commands x "
+          f"{len(VARIANTS)} variants x {len(CHECK_SEEDS)} seeds, and {len(OTHER_ARGVS)} other argvs")
     if not args.rounds:
         return 0
 

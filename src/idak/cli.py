@@ -19,21 +19,18 @@ freshness truth table, most of its document, skip the walk: each row is
 its plan row's head, built once per indent on the first render, and the
 text of its verdict, one of the six that `is_fresh` returns.
 
-`main` routes on the command word, and the namespace, output and exit
-status are those of the whole parser for every argv. An argv that does
-not start with a command name (empty, `-h`, an unknown word, a leading
-`--`) goes through the whole parser. A canonical argv, a command name
-and exact `--option value` pairs, is read from that command's option
-table, built once with the cached parser from the subparser's own store
-actions: each value goes through its option's `type` and `choices`, the
-last of a repeated option wins, and the rest take the subparser's
-defaults. Every other argv that starts with a command name (`-h`, an
-abbreviation, `--opt=value`, a value that starts with `-`, a dangling
-option, a value its `type` or `choices` refuses) is parsed by that
-command's own subparser, so argparse still writes every error message
-and all help text. A table read costs about a fifth of the subparser's
-pass (CPython 3.11); the whole parser's top-level pass, which the routed
-argvs skip, only matches the command word and copies the namespace back.
+Each command's options are declared once, in `_COMMANDS`: flag, type,
+choices, default and help, in `--help` order. `build_parser` builds the
+argparse parser from that declaration, and so do the per-command tables
+`main` reads with no parser at all. An argv of a command name and exact
+`--option value` pairs is read from its command's table: each value goes
+through its option's type and choices, the last of a repeated option
+wins, and the rest take their defaults. Any other argv (help, an unknown
+word, an abbreviation, `--opt=value`, a value that starts with `-`, a
+dangling option, a value its type or choices refuses) is parsed by the
+whole parser, built on first use and kept, so argparse writes every
+error and all help text. Either way the namespace is the one the whole
+parser gives.
 """
 
 from __future__ import annotations
@@ -94,107 +91,65 @@ def _trials(text: str) -> int:
     return value
 
 
-def _add_common(cmd: argparse.ArgumentParser, trials: bool = False) -> None:
-    cmd.add_argument(
-        "--variant",
-        choices=[v.value for v in Variant],
-        default=Variant.HARDENED.value,
-        help="protocol variant (default: hardened)",
-    )
-    cmd.add_argument("--seed", type=_seed, default=0, help="RNG seed (default: 0)")
-    cmd.add_argument(
-        "--q", type=_prime_order, default=DEFAULT_Q, help=f"group order, a prime (default: {DEFAULT_Q})"
-    )
-    if trials:
-        cmd.add_argument(
-            "--trials", type=_trials, default=1000, help="number of seeded trials (default: 1000)"
-        )
-    cmd.add_argument("--out", default=None, help="write the JSON document here instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idak",
         description="identity-based key agreement toy: handshakes, attacks, and the distinguishing game",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text) in _COMMANDS.items():
-        _add_common(sub.add_parser(name, help=help_text), trials=handler is _cmd_eck_batch)
-    # command name -> its subparser, for `_parse_args`
-    parser.commands = sub.choices
+    for name, (_, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kind, choices, default, option_help in options:
+            command.add_argument(flag, type=kind, choices=choices, default=default, help=option_help)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # built on first use, not at import: importing the CLI stays cheap, and
-    # every later main call in the process reuses this one parser and the
-    # option table of each of its commands
-    parser = build_parser()
-    parser.tables = {name: _option_table(command) for name, command in parser.commands.items()}
-    return parser
+    # built on first use, not at import, and only for an argv the tables
+    # cannot settle; later calls in the process reuse it
+    return build_parser()
 
 
-def _option_table(command: argparse.ArgumentParser) -> tuple[dict, dict]:
-    """What `_read_table` needs of a command's subparser: the namespace an
-    empty argv parses to, as a dict, and each store action that takes one
-    value, by its exact option string."""
-    options = {
-        option: action
-        for action in command._actions
-        if type(action) is argparse._StoreAction and action.nargs is None
-        for option in action.option_strings
-    }
-    return vars(command.parse_args([])), options
-
-
-def _read_table(table: tuple[dict, dict], words: list[str]) -> dict | None:
-    """The namespace, as a dict, of a command's words when they are exact
-    `--option value` pairs whose values pass the option's own type and
-    choices; the last of a repeated option wins. None for any other words,
-    which the subparser then parses: a value that starts with "-" might
-    be read as an option, and a value it refuses gets argparse's error."""
-    defaults, options = table
-    if len(words) % 2:
+def _read_table(argv: list[str]) -> dict | None:
+    """The namespace, as a dict, of a command name and exact `--option
+    value` pairs whose values pass their type and choices. None for any
+    other argv: a value that starts with "-" might be an option, and a
+    value refused needs argparse's error."""
+    table = _TABLES.get(argv[0]) if argv else None
+    if table is None or not len(argv) % 2:
         return None
-    values = dict(defaults)
-    for i in range(0, len(words), 2):
-        option, text = words[i], words[i + 1]
-        if type(option) is not str or type(text) is not str:
+    options, defaults = table
+    values = {"command": argv[0], **defaults}
+    for i in range(1, len(argv), 2):
+        flag, text = argv[i], argv[i + 1]
+        if type(flag) is not str or type(text) is not str or text.startswith("-"):
             return None
-        action = options.get(option)
-        if action is None or text.startswith("-"):
+        option = options.get(flag)
+        if option is None:
             return None
+        dest, kind, choices = option
         try:
-            value = text if action.type is None else action.type(text)
+            value = text if kind is None else kind(text)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
+        values[dest] = value
     return values
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """`_parser().parse_args(argv)`, with the same namespace, output and
-    exit status for every argv, but an argv that starts with a command name
-    is read from that command's option table or, failing that, parsed by
-    that command's subparser."""
+    exit status for every argv, but a canonical argv is read from its
+    command's table without building or running the parser."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    values = _read_table(parser.tables[argv[0]], argv[1:])
-    if values is not None:
-        args = argparse.Namespace()
-        vars(args).update(values, command=argv[0])
-        return args
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    args.command = argv[0]
+    values = _read_table(argv)
+    if values is None:
+        return _parser().parse_args(argv)
+    args = argparse.Namespace()
+    vars(args).update(values)  # Namespace(**values) sets them one by one
     return args
 
 
@@ -278,15 +233,33 @@ def _cmd_freshness_table(args: argparse.Namespace) -> tuple[dict, str]:
     return doc, f"freshness-table: {len(verdicts)} rows, {fresh} fresh"
 
 
-# command name -> (handler, help); the order is the order of `--help`
+# an option: (flag, type, choices, default, help), with no type for a plain
+# string; its dest is the flag without its leading "--"
+_VARIANT = ("--variant", None, [v.value for v in Variant], Variant.HARDENED.value,
+            "protocol variant (default: hardened)")
+_SEED = ("--seed", _seed, None, 0, "RNG seed (default: 0)")
+_Q = ("--q", _prime_order, None, DEFAULT_Q, f"group order, a prime (default: {DEFAULT_Q})")
+_TRIALS = ("--trials", _trials, None, 1000, "number of seeded trials (default: 1000)")
+_OUT = ("--out", None, None, None, "write the JSON document here instead of stdout")
+_COMMON = (_VARIANT, _SEED, _Q, _OUT)
+
+# command name -> (handler, help, options); both orders are the orders of `--help`
 _COMMANDS = {
-    "handshake": (_cmd_handshake, "honest two-party run"),
-    "uks": (_cmd_uks, "identity-misbinding interception"),
-    "mkbreak": (_cmd_mkbreak, "passive break with the master key"),
-    "kci": (_cmd_kci, "key-compromise impersonation attempt matrix"),
-    "dlog-adv": (_cmd_dlog_adv, "discrete-log distinguishing adversary"),
-    "eck-batch": (_cmd_eck_batch, "random-guess calibration batch"),
-    "freshness-table": (_cmd_freshness_table, "exhaustive freshness truth table"),
+    "handshake": (_cmd_handshake, "honest two-party run", _COMMON),
+    "uks": (_cmd_uks, "identity-misbinding interception", _COMMON),
+    "mkbreak": (_cmd_mkbreak, "passive break with the master key", _COMMON),
+    "kci": (_cmd_kci, "key-compromise impersonation attempt matrix", _COMMON),
+    "dlog-adv": (_cmd_dlog_adv, "discrete-log distinguishing adversary", _COMMON),
+    "eck-batch": (_cmd_eck_batch, "random-guess calibration batch", (_VARIANT, _SEED, _Q, _TRIALS, _OUT)),
+    "freshness-table": (_cmd_freshness_table, "exhaustive freshness truth table", _COMMON),
+}
+# command name -> (flag -> (dest, type, choices), dest -> default), for `_read_table`
+_TABLES = {
+    name: (
+        {flag: (flag[2:], kind, choices) for flag, kind, choices, _, _ in options},
+        {flag[2:]: default for flag, _, _, default, _ in options},
+    )
+    for name, (_, _, options) in _COMMANDS.items()
 }
 
 
@@ -401,10 +374,10 @@ def _write(value: object, indent: str, parts: list[str], add) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
+    handler, _, _ = _COMMANDS[args.command]
     doc, summary = handler(args)
     text = _render(doc, "") + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

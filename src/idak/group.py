@@ -69,10 +69,11 @@ class GroupParams:
             require(self.q, int, "group order")
         if self.q in _validated_orders:
             return
-        if self.q <= 3 or not is_prime(self.q):
-            raise ParameterError(f"group order must be a prime above 3, got {self.q}")
+        # the width first: Miller-Rabin on a many-digit order costs seconds
         if self.q > 1 << (8 * self.width):
             raise ParameterError("group order does not fit the encoding width")
+        if self.q <= 3 or not is_prime(self.q):
+            raise ParameterError(f"group order must be a prime above 3, got {self.q}")
         _validated_orders.add(self.q)
 
     @property

@@ -1,5 +1,6 @@
 """Command-line front end: JSON documents, flags, exit codes."""
 
+import argparse
 import collections
 import contextlib
 import enum
@@ -123,6 +124,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["seed"] == 2
 
 
+def test_empty_out_path_is_a_write_error(capsys):
+    """`--out ""` names a file that cannot be written; it does not mean stdout."""
+    assert main(["uks", "--seed", "2", "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write : ")
+
+
 def test_small_q_flag(capsys):
     doc = main_json(capsys, "handshake", "--q", "101", "--seed", "1")
     assert doc["group"]["q"] == "101"
@@ -189,9 +198,13 @@ def test_stdout_bytes_are_frozen(key, capsys):
     assert stdout_digest(capsys) == FROZEN_DIGESTS[key]
 
 
+# argvs the command tables do not settle, so the whole parser reads them
+_NON_CANONICAL = (["handshake", "--seed=3"], ["handshake", "-h"], ["handshake", "stray"])
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
-    """Back-to-back commands in one process share one parser: the frozen
-    argvs build it once between them, and every digest still holds."""
+    """The frozen argvs build no parser; the non-canonical argvs after them
+    build it once between them, and every digest still holds."""
     real = cli.build_parser
     builds = []
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
@@ -199,6 +212,13 @@ def test_parser_is_built_once(monkeypatch, capsys):
     for key, digest in FROZEN_DIGESTS.items():
         assert main(frozen_argv(key)) == 0
         assert stdout_digest(capsys) == digest
+    assert builds == []
+    assert main(_NON_CANONICAL[0]) == 0
+    assert stdout_digest(capsys) == FROZEN_DIGESTS[("handshake", "--seed", "3", "hardened")]
+    for argv, code in zip(_NON_CANONICAL[1:], (0, 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
     assert len(builds) == 1
 
 
@@ -226,39 +246,49 @@ def _refuse_top_level_pass(monkeypatch):
     monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
 
 
+def _refuse_argparse(monkeypatch):
+    """Make building any argparse parser, or running a pass of one, raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse ran")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+
+
 def test_command_argvs_skip_the_top_level_pass(monkeypatch, capsys):
-    """Every frozen argv prints its frozen bytes from its command's own
-    subparser; a stray argument still exits 2 through the top-level error."""
-    _refuse_top_level_pass(monkeypatch)
+    """Every frozen argv prints its frozen bytes with no argparse pass of
+    any parser; a stray argument still exits 2 through the whole parser's
+    error."""
+    cli._parser()  # built beforehand, so a stray argument reaches a pass
+    _refuse_argparse(monkeypatch)
     for key, digest in FROZEN_DIGESTS.items():
         assert main(frozen_argv(key)) == 0
         assert stdout_digest(capsys) == digest
+    with pytest.raises(AssertionError, match="argparse ran"):
+        main(["handshake", "stray"])
+    monkeypatch.undo()
     with pytest.raises(SystemExit) as exc:
         main(["handshake", "stray"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith("idak: error: unrecognized arguments: stray\n")
 
 
-def _refuse_subparser_passes(monkeypatch):
-    """Make every command subparser's own pass raise."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a subparser ran its pass")
-
-    for command in cli._parser().commands.values():
-        monkeypatch.setattr(command, "parse_known_args", refuse)
-
-
 def test_frozen_argvs_are_read_from_the_option_table(monkeypatch, capsys):
     """Every frozen argv, a command and exact `--option value` pairs,
-    prints its frozen bytes with no parser pass at all, top-level or
-    subparser; an argv the table cannot settle goes to the subparser."""
-    _refuse_top_level_pass(monkeypatch)
-    _refuse_subparser_passes(monkeypatch)
+    prints its frozen bytes from its command's table, with `build_parser`
+    refused and no parser cached; an argv the table cannot settle goes to
+    `build_parser`."""
+
+    def refuse():
+        raise AssertionError("build_parser ran")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    cli._parser.cache_clear()
     for key, digest in FROZEN_DIGESTS.items():
         assert main(frozen_argv(key)) == 0
         assert stdout_digest(capsys) == digest
-    with pytest.raises(AssertionError, match="a subparser ran its pass"):
+    with pytest.raises(AssertionError, match="build_parser ran"):
         main(["handshake", "--seed=3"])
 
 

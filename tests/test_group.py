@@ -73,6 +73,19 @@ def test_failed_orders_are_never_cached(monkeypatch):
     assert calls == [1001] * 3 + [1009]
 
 
+def test_width_is_checked_before_primality(monkeypatch):
+    """An order wider than the encoding is refused without Miller-Rabin,
+    which takes seconds on an order of a thousand digits."""
+
+    def refuse(n):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(group, "_validated_orders", set())
+    monkeypatch.setattr(group, "is_prime", refuse)
+    with pytest.raises(ParameterError, match="encoding width"):
+        GroupParams(2**64 + 13)
+
+
 def test_generators(p101):
     assert dlog(p101.g) == 1
     assert dlog(p101.gt) == 1
