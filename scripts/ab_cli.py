@@ -1,5 +1,5 @@
-"""Interleaved A/B timing of in-process `idak.cli.main` calls against a
-git ref. Stdlib only:
+"""Interleaved A/B timing of in-process `idak.cli.main` calls, and of
+three World-level units, against a git ref. Stdlib only:
 
     python scripts/ab_cli.py [REF] [--rounds N] [--calls N]
 
@@ -18,17 +18,25 @@ Each command's line gives the median over rounds of the mean time per
 call on each side, both variants pooled; the median over rounds of the
 ratio change / base, each round's two batches run back to back, so a
 slow spell of the host weighs on both; and the share of rounds the
-change won. The last line does the same for the sum over the six
-commands of the benchmark's cli-attacks rotation. Nothing is written
-outside the temporary directory.
+change won. The cli-attacks line does the same for the sum over the six
+commands of the benchmark's cli-attacks rotation. Three World-level
+units follow, timed the same way in the same rounds, with UNIT_CALLS x
+`--calls` units per batch and the cyclic collector paused: an honest
+exchange on a world of 16 parties grown to 4,000 sessions before the
+first round (one world per variant and side, grown untimed; each
+exchange batch adds to it), the first read of the initiators' keys that
+batch accepted, and one random-guess trial. Nothing is written outside
+the temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
+import random
 import statistics
 import subprocess
 import sys
@@ -50,6 +58,14 @@ COMMANDS = {
     "freshness-table": [],
 }
 CHECK_SEEDS = range(4)
+# World-level units: a batch runs UNIT_CALLS times as many as a command
+# batch, since each unit costs microseconds, not milliseconds
+UNITS = ("exchange", "first key read", "random-guess trial")
+UNIT_CALLS = 10
+PARTIES = tuple(f"p{k:02d}" for k in range(16))
+GROW_EXCHANGES = 2000
+# ordered pairs of distinct parties, the exchanges a batch runs in turn
+PAIRS = [(a, b) for a in PARTIES for b in PARTIES if a != b]
 # argvs a command and exact `--option value` pairs do not cover: the help
 # texts, usage errors, values an option refuses, and an abbreviation and an
 # `--opt=value` that argparse accepts
@@ -114,6 +130,57 @@ def batch(main, command: str, variant: str, seeds: range) -> float:
     return elapsed / len(seeds) / 1000
 
 
+class Units:
+    """One side's World-level units: a grown world per variant, and the
+    initiator handles of its latest exchange batch, whose keys are unread."""
+
+    def __init__(self, ecksim) -> None:
+        self.ecksim = ecksim
+        self.worlds = {}
+        self.unread: dict[str, list[int]] = {}
+        for variant in VARIANTS:
+            world = ecksim.World(0, ecksim.Variant(variant))
+            for party in PARTIES:
+                world.add_party(party)
+            rng = random.Random(variant)
+            for _ in range(GROW_EXCHANGES):
+                ecksim.run_honest_exchange(world, *rng.sample(PARTIES, 2))
+            self.worlds[variant] = world
+
+    def batch(self, unit: str, variant: str, seeds: range) -> float:
+        """Mean microseconds per unit over one batch, with the cyclic
+        collector paused, as timeit pauses it: a collection traverses the
+        grown worlds and would land on whichever batch is running. A
+        key-read batch reads the keys of the variant's latest exchange
+        batch."""
+        gc.disable()
+        try:
+            return self._batch(unit, variant, seeds)
+        finally:
+            gc.enable()
+
+    def _batch(self, unit: str, variant: str, seeds: range) -> float:
+        world = self.worlds[variant]
+        if unit == "exchange":
+            exchange = self.ecksim.run_honest_exchange
+            start = time.perf_counter_ns()
+            handles = [exchange(world, *PAIRS[seed % len(PAIRS)])[0] for seed in seeds]
+            elapsed = time.perf_counter_ns() - start
+            self.unread[variant] = handles
+            return elapsed / len(seeds) / 1000
+        if unit == "first key read":
+            sessions = [world.session(handle) for handle in self.unread.pop(variant)]
+            start = time.perf_counter_ns()
+            for session in sessions:
+                session.key
+            return (time.perf_counter_ns() - start) / len(sessions) / 1000
+        trial, v = self.ecksim.run_random_guess_adversary, self.ecksim.Variant(variant)
+        start = time.perf_counter_ns()
+        for seed in seeds:
+            trial(v, seed)
+        return (time.perf_counter_ns() - start) / len(seeds) / 1000
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", nargs="?", default="HEAD", help="git ref of the base side")
@@ -134,10 +201,14 @@ def main() -> int:
             "base": importlib.import_module("idak_base.cli").main,
             "change": importlib.import_module("idak.cli").main,
         }
-        return compare(sides, args)
+        ecksims = {
+            "base": importlib.import_module("idak_base.ecksim"),
+            "change": importlib.import_module("idak.ecksim"),
+        }
+        return compare(sides, ecksims, args)
 
 
-def compare(sides: dict, args: argparse.Namespace) -> int:
+def compare(sides: dict, ecksims: dict, args: argparse.Namespace) -> int:
     checked = [
         *(argv(command, variant, seed)
           for command in COMMANDS for variant in VARIANTS for seed in CHECK_SEEDS),
@@ -152,7 +223,8 @@ def compare(sides: dict, args: argparse.Namespace) -> int:
     if not args.rounds:
         return 0
 
-    # (command, side) -> per-round mean per call, both variants pooled
+    units = {side: Units(ecksims[side]) for side in sides}
+    # (command or unit, side) -> per-round mean per call, both variants pooled
     times: dict[tuple[str, str], list[float]] = {}
     order = ["base", "change"]
     for r in range(args.rounds):
@@ -161,11 +233,16 @@ def compare(sides: dict, args: argparse.Namespace) -> int:
             for side in order:
                 cost = sum(batch(sides[side], command, v, seeds) for v in VARIANTS) / len(VARIANTS)
                 times.setdefault((command, side), []).append(cost)
+        unit_seeds = range(r * args.calls * UNIT_CALLS, (r + 1) * args.calls * UNIT_CALLS)
+        for unit in UNITS:
+            for side in order:
+                cost = sum(units[side].batch(unit, v, unit_seeds) for v in VARIANTS) / len(VARIANTS)
+                times.setdefault((unit, side), []).append(cost)
         order.reverse()
 
     print(f"{args.rounds} rounds x {args.calls} calls per command, variant and side; "
           f"python {sys.version.split()[0]}; base {args.ref}")
-    print(f"{'command':<16}{'base us':>10}{'change us':>11}{'ratio':>8}{'won':>6}")
+    print(f"{'command':<20}{'base us':>10}{'change us':>11}{'ratio':>8}{'won':>6}")
     totals = {side: [0.0] * args.rounds for side in sides}
     for command in COMMANDS:
         if command != "eck-batch":
@@ -173,13 +250,15 @@ def compare(sides: dict, args: argparse.Namespace) -> int:
                 totals[side] = [t + s for t, s in zip(totals[side], times[command, side])]
         report(command, times[command, "base"], times[command, "change"])
     report("cli-attacks mix", totals["base"], totals["change"])
+    for unit in UNITS:
+        report(unit, times[unit, "base"], times[unit, "change"])
     return 0
 
 
 def report(name: str, base: list[float], change: list[float]) -> None:
     ratios = [c / b for b, c in zip(base, change)]
     won = sum(ratio < 1 for ratio in ratios) / len(ratios)
-    print(f"{name:<16}{statistics.median(base):>10.1f}{statistics.median(change):>11.1f}"
+    print(f"{name:<20}{statistics.median(base):>10.1f}{statistics.median(change):>11.1f}"
           f"{statistics.median(ratios):>8.3f}{won:>6.0%}")
 
 

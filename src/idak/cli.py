@@ -50,8 +50,8 @@ from .attacks import (
 from .ecksim import (
     TRUTH_TABLE_PLAN,
     VERDICTS,
+    play_random_guess,
     run_honest_exchange,
-    run_random_guess_adversary,
     truth_table_verdicts,
     two_party_world,
 )
@@ -203,8 +203,7 @@ def _cmd_eck_batch(args: argparse.Namespace) -> tuple[dict, str]:
     counts = {"win": 0, "lose": 0, "invalid": 0}
     variant = Variant(args.variant)
     for i in range(args.trials):
-        report = run_random_guess_adversary(variant, args.seed + i, args.q)
-        counts[report["verdict"]] += 1
+        counts[play_random_guess(two_party_world(args.seed + i, variant, args.q)).value] += 1
     doc = {
         "command": "eck-batch",
         "adversary": "random-guess",

@@ -79,15 +79,17 @@ class QueryKind(Enum):
     GUESS = "Guess"
 
 
-# module names for the kinds: reading a member off the enum class costs a
-# Python-level lookup, a global does not. _record routes on the first two,
-# and World builds every QueryRecord from them with `_new_record`
+# module names for the kinds and roles: reading a member off the enum class
+# costs a Python-level lookup, a global does not. _record routes on the first
+# two kinds, World builds every QueryRecord from them with `_new_record`, and
+# deliver and run_honest_exchange test and pass the roles
 _EPHEMERAL = QueryKind.EPHEMERAL_KEY_REVEAL
 _SESSION_KEY = QueryKind.SESSION_KEY_REVEAL
 _PRIVATE_KEY = QueryKind.PRIVATE_KEY_REVEAL
 _EXTRACT = QueryKind.EXTRACT
 _TEST = QueryKind.TEST
 _GUESS = QueryKind.GUESS
+_INITIATOR, _RESPONDER = Role.INITIATOR, Role.RESPONDER
 
 
 class QueryRecord(NamedTuple):
@@ -211,11 +213,10 @@ class World:
         session accepts (or rejects); nothing is returned, and the key is
         derived only if a reveal or the Test query reads it."""
         # session() without its call for a known int handle; it raises for any other
-        session = self._sessions.get(handle) if type(handle) is int else None
-        session = session or self.session(handle)
+        session = (self._sessions.get(handle) if type(handle) is int else None) or self.session(handle)
         complete_session(session, element)
         # the conversation key; of its cells, [0] holds responders, [1] initiators
-        initiator = session.role is Role.INITIATOR
+        initiator = session.role is _INITIATOR
         if initiator:
             key = (session.owner, session.peer, session.r_out.exp, element.exp)
         else:
@@ -282,13 +283,13 @@ class World:
 
     def eph_reveal(self, handle: int) -> int:
         """Reveal a session's ephemeral scalar."""
-        session = self.session(handle)
+        session = (self._sessions.get(handle) if type(handle) is int else None) or self.session(handle)
         self._record(_new_record(QueryRecord, (_EPHEMERAL, handle, None, None)))
         return session.x
 
     def key_reveal(self, handle: int) -> bytes:
         """Reveal an accepted session's key."""
-        session = self.session(handle)
+        session = (self._sessions.get(handle) if type(handle) is int else None) or self.session(handle)
         if session.r_in is None:
             raise SessionStateError("session key exists only after acceptance")
         self._record(_new_record(QueryRecord, (_SESSION_KEY, handle, None, None)))
@@ -296,8 +297,9 @@ class World:
 
     def private_reveal(self, identity: str) -> IdentityKey:
         """Reveal a registered party's long-term key material."""
-        require(identity, str, "identity")
-        keys = self._party_keys(identity)
+        if type(identity) is not str:
+            require(identity, str, "identity")
+        keys = self._parties.get(identity) or self._party_keys(identity)
         self._record(_new_record(QueryRecord, (_PRIVATE_KEY, None, identity, None)))
         return keys
 
@@ -389,7 +391,7 @@ class World:
                 "owner": session.owner,
                 "peer": session.peer,
                 "role": session.role.value,
-                "transcript": ends if session.role is Role.INITIATOR else ends[::-1],
+                "transcript": ends if session.role is _INITIATOR else ends[::-1],
             }
             freshness = self.is_fresh(self._test_handle).to_json()
         return {
@@ -420,22 +422,24 @@ def two_party_world(
 
 def run_honest_exchange(world: World, initiator: str, responder: str) -> tuple[int, int]:
     """Faithful delivery in both directions; returns the two handles."""
-    h_init, r_init = world.activate(initiator, responder, Role.INITIATOR)
-    h_resp, r_resp = world.activate(responder, initiator, Role.RESPONDER)
+    h_init, r_init = world.activate(initiator, responder, _INITIATOR)
+    h_resp, r_resp = world.activate(responder, initiator, _RESPONDER)
     world.deliver(h_resp, r_init)
     world.deliver(h_init, r_resp)
     return h_init, h_resp
 
 
-def run_random_guess_adversary(
-    variant: Variant, seed: int, q: int = DEFAULT_Q
-) -> dict:
-    """Calibration probe: honest run, test, then a coin-flip guess. Over
-    many seeds the win rate must sit at one half."""
+def play_random_guess(world: World) -> Outcome:
+    """Honest alice-bob run, test on alice's session, then a coin-flip guess."""
+    world.test(run_honest_exchange(world, "alice", "bob")[0])
+    return world.guess(world.rng.getrandbits(1))
+
+
+def run_random_guess_adversary(variant: Variant, seed: int, q: int = DEFAULT_Q) -> dict:
+    """Calibration probe: `play_random_guess`, reported. Over many seeds
+    the win rate must sit at one half."""
     world = two_party_world(seed, variant, q)
-    h_init, _ = run_honest_exchange(world, "alice", "bob")
-    world.test(h_init)
-    world.guess(world.rng.getrandbits(1))
+    play_random_guess(world)
     return world.experiment_report("random-guess")
 
 
@@ -499,7 +503,7 @@ def truth_table_verdicts(
     RNG and sessions the log does not name take no part in a verdict."""
     world = two_party_world(seed, variant, q)
     h_sid, h_star = run_honest_exchange(world, "alice", "bob")
-    h_lone, _ = world.activate("alice", "bob", Role.INITIATOR)
+    h_lone, _ = world.activate("alice", "bob", _INITIATOR)
     world.deliver(h_lone, world.session(h_star).r_out ** 2)
     verdicts: list[FreshnessVerdict] = []
     for sid, star, plan in ((h_sid, h_star, _ROWS_MATCHED), (h_lone, None, _ROWS_UNMATCHED)):

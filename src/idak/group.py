@@ -11,7 +11,8 @@ Each group order is validated once per process: `GroupParams` keeps the
 orders that passed its full check and skips Miller-Rabin for them after.
 Elements are slotted frozen dataclasses. Group operations reduce their
 exponent once and build the result without rerunning the public
-constructor's checks.
+constructor's checks. `random_scalar` makes randrange's own getrandbits
+draws on an exact `random.Random` and calls any other rng's randrange.
 """
 
 from __future__ import annotations
@@ -96,9 +97,10 @@ def same_params(a: GroupParams, b: GroupParams) -> bool:
     return a is b or a == b
 
 
-def _require_int(exp: object) -> None:
+def _require_int(exp: object) -> int:
     if not isinstance(exp, int):
         raise TypeError(f"exponent must be an int, not {type(exp).__name__}")
+    return exp
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,8 +187,16 @@ def pair(a: GElem, b: GElem) -> GTElem:
 
 
 def random_scalar(rng: random.Random, params: GroupParams) -> int:
-    """Uniform nonzero scalar in [1, q)."""
-    return rng.randrange(1, params.q)
+    """Uniform nonzero scalar in [1, q): randrange(1, q)'s own getrandbits
+    draws on an exact random.Random, any other rng's randrange(1, q)."""
+    if type(rng) is not random.Random:
+        return _require_int(rng.randrange(1, params.q))
+    n = params.q - 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:  # rejection, as randrange's _randbelow
+        r = rng.getrandbits(k)
+    return 1 + r
 
 
 def dlog(elem: GElem | GTElem) -> int:

@@ -24,8 +24,9 @@ single-oracle functions (`transcript_scalar`, `bound_scalar`,
 `derive_key_plain`, `derive_key_bound`) read their values from those
 two and stay for the tests and the benchmark's tracer.
 
-The H1G exponent of each (identity, q) and the framing of each identity
-are memoised in bounded LRU caches of _MEMO_SIZE entries, so a party's
+The H1G exponent of each (identity, q), the framing of each identity and
+the framed PI1 and KDF prefixes of each ordered pair of identities are
+memoised in bounded LRU caches of _MEMO_SIZE entries, so a party's
 identity point is hashed once however many sessions it completes.
 """
 
@@ -87,14 +88,19 @@ def _frame(identity: str) -> bytes:
     return len(raw).to_bytes(4, "big") + raw
 
 
-def _scalar(data: bytes, q: int) -> int:
-    """The oracle scalar of a tagged input: 1 + (D(data) mod (q-1))."""
-    return 1 + int.from_bytes(_digest(data), "big") % (q - 1)
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pair_prefixes(id_init: str, id_resp: str) -> tuple[bytes, bytes, bytes]:
+    """The PI1 prefixes of the initiator's and the responder's s-value and the KDF prefix."""
+    f_init, f_resp = _frame(id_init), _frame(id_resp)
+    pi1, kdf = _TAG_SCALAR_BOUND, _TAG_KDF_BOUND
+    return pi1 + f_init + f_resp, pi1 + f_resp + f_init, kdf + f_init + f_resp
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _identity_exponent(identity: str, q: int) -> int:
-    return _scalar(_TAG_HASH_TO_GROUP + _identity_bytes(identity), q)
+    """The H1G exponent of an identity: 1 + (D(tag || id) mod (q-1))."""
+    data = _TAG_HASH_TO_GROUP + _identity_bytes(identity)
+    return 1 + int.from_bytes(_digest(data), "big") % (q - 1)
 
 
 def hash_to_group(group: GroupParams, identity: str) -> GElem:
@@ -117,8 +123,8 @@ def session_hashes(
     params = r_init.params
     if r_resp.params is not params and not same_params(r_resp.params, params):
         raise GroupMismatchError("transcript elements from different group instantiations")
-    # each s-value is 1 + (D(input) mod (q-1)), as in _scalar, written out
-    # here so a key read runs no helper frame per hash
+    # each s-value is 1 + (D(input) mod (q-1)), as H1G's exponent, written
+    # out here so a key read runs no helper frame per hash
     modulus = params.q - 1
     e_init, e_resp = r_init.to_bytes(), r_resp.to_bytes()
     if not bound:
@@ -127,13 +133,11 @@ def session_hashes(
             1 + int.from_bytes(_digest(_TAG_SCALAR_PLAIN + e_resp + e_init), "big") % modulus,
             _TAG_KDF_PLAIN,
         )
-    f_init, f_resp = _frame(id_init), _frame(id_resp)
-    pi_init = _TAG_SCALAR_BOUND + f_init + f_resp + e_init + e_resp
-    pi_resp = _TAG_SCALAR_BOUND + f_resp + f_init + e_resp + e_init
+    pi_init, pi_resp, kdf = _pair_prefixes(id_init, id_resp)
     return (
-        1 + int.from_bytes(_digest(pi_init), "big") % modulus,
-        1 + int.from_bytes(_digest(pi_resp), "big") % modulus,
-        _TAG_KDF_BOUND + f_init + f_resp + e_init + e_resp,
+        1 + int.from_bytes(_digest(pi_init + e_init + e_resp), "big") % modulus,
+        1 + int.from_bytes(_digest(pi_resp + e_resp + e_init), "big") % modulus,
+        kdf + e_init + e_resp,
     )
 
 

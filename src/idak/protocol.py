@@ -26,12 +26,14 @@ so the two sides agree. The toy group's co-factor h is 1, so no power of
 it appears in the arithmetic.
 
 Derivation is one pass over the transcript: `oracles.session_hashes`
-encodes each element once, frames each identity once and returns both
-s-values with the KDF input. The pairing takes the private key as it is
-and one element computed from exponents (the peer's memoised H1G
-exponent, r_in's and x + s_own): pairing private_key with
+encodes each element once, takes the framed identities from its memo and
+returns both s-values with the KDF input. The pairing takes the private
+key as it is and one element computed from exponents (the peer's memoised
+H1G exponent, r_in's and x + s_own): pairing private_key with
 (peer_base^s * r_in)^(x + s_own) is, by bilinearity, the value above. A
-read costs three sha256 calls, one pairing and one new source element.
+read costs three sha256 calls, one pairing and one new source element,
+built through group's slot setters, as `start_session` builds R; the
+hot path tests `Role` and `Variant` members held in module globals.
 It draws nothing from the RNG and cannot fail once `complete_session`
 has accepted, because every input was checked where it entered:
 `IdentityKey` checks the identity and both key points (`KGC.extract`
@@ -109,6 +111,9 @@ class Session:
 # of the initiator's and the responder's messages), comparable within one group
 SessionId = tuple[str, str, bool, int, int]
 
+# read as globals: a member read off its enum class is a Python-level lookup
+_INITIATOR, _HARDENED = Role.INITIATOR, Variant.HARDENED
+
 
 def start_session(
     keys: IdentityKey,
@@ -133,8 +138,11 @@ def start_session(
     # any other variant would silently run the hardened arithmetic
     if type(variant) is not Variant:
         require(variant, Variant, "variant")
-    x = random_scalar(rng, keys.public_key.params)
-    r_out = keys.public_key**x
+    params = keys.public_key.params
+    x = random_scalar(rng, params)
+    r_out = _new(GElem)  # public_key**x
+    _set_params(r_out, params)
+    _set_exp(r_out, keys.public_key.exp * x % params.q)
     session = Session(keys.identity, peer, role, variant, x, r_out, keys)
     return session, r_out
 
@@ -170,8 +178,8 @@ def _derive_key(session: Session) -> bytes:
     bilinearity gives the documented shared value. Its inputs were
     checked by IdentityKey, start_session and complete_session."""
     r_in, r_out = session.r_in, session.r_out
-    bound = session.variant is Variant.HARDENED
-    if session.role is Role.INITIATOR:
+    bound = session.variant is _HARDENED
+    if session.role is _INITIATOR:
         s_own, s_peer, kdf_input = session_hashes(bound, session.owner, session.peer, r_out, r_in)
     else:
         s_peer, s_own, kdf_input = session_hashes(bound, session.peer, session.owner, r_in, r_out)
@@ -190,7 +198,7 @@ def session_id(session: Session) -> SessionId:
     """SessionId of an accepted session; raises while it is still Active."""
     if session.r_in is None:
         raise SessionStateError("session id is defined only after acceptance")
-    initiator = session.role is Role.INITIATOR
+    initiator = session.role is _INITIATOR
     r_init, r_resp = (session.r_out, session.r_in) if initiator else (session.r_in, session.r_out)
     return (session.owner, session.peer, initiator, r_init.exp, r_resp.exp)
 
@@ -219,6 +227,6 @@ def transcript_record(initiator: Session, responder: Session) -> dict:
         "r_responder": responder.r_out.hex(),
         "initiator_accepted": initiator.r_in is not None,
         "responder_accepted": responder.r_in is not None,
-        "initiator_key_digest": key_digest(initiator.key) if initiator.key else None,
-        "responder_key_digest": key_digest(responder.key) if responder.key else None,
+        "initiator_key_digest": key_digest(key) if (key := initiator.key) else None,
+        "responder_key_digest": key_digest(key) if (key := responder.key) else None,
     }

@@ -1073,3 +1073,87 @@ def test_twin_key_adversary_is_invalid():
     point, not the name, and the adversary's correct guess is invalid."""
     outcomes = [twin_key_adversary(variant, seed) for variant in Variant for seed in range(20)]
     assert outcomes == [Outcome.INVALID] * 40
+
+
+class RecordingRandom(random.Random):
+    """A Random subclass that overrides randrange and records every call."""
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.draws.append((args, value))
+        return value
+
+
+def recording_rngs(monkeypatch) -> list[RecordingRandom]:
+    """Install RecordingRandom as the RNG every World builds; returns the
+    RNGs built, in order."""
+    built = []
+
+    def build(seed):
+        rng = RecordingRandom(seed)
+        rng.draws = []
+        built.append(rng)
+        return rng
+
+    monkeypatch.setattr(ecksim, "random", types.SimpleNamespace(Random=build))
+    return built
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_randrange_subclass_sees_every_scalar_draw(monkeypatch, seed):
+    """A Random subclass that overrides randrange is asked for every scalar
+    a world draws: the master key, each session's ephemeral and, in kci,
+    the random element. Its draws are randrange(1, q) calls and every
+    output equals the exact-class run's."""
+    exact = ecksim.two_party_world(seed, Variant.HARDENED, master_key_reveal=True)
+    exact_handles = run_honest_exchange(exact, "alice", "bob")
+    exact_kci = attacks.run_kci_cells(seed, attacks.XChoice.RANDOM_ELEMENT)
+
+    rngs = recording_rngs(monkeypatch)
+    world = ecksim.two_party_world(seed, Variant.HARDENED, master_key_reveal=True)
+    handles = run_honest_exchange(world, "alice", "bob")
+    q = world.params.q
+    alpha = world.kgc.reveal_master_key()
+    scalars = [alpha] + [world.session(handle).x for handle in handles]
+    assert rngs[0].draws == [((1, q), scalar) for scalar in scalars]
+    assert alpha == exact.kgc.reveal_master_key()
+    assert [world.session(h).key for h in handles] == [exact.session(h).key for h in exact_handles]
+
+    kci = attacks.run_kci_cells(seed, attacks.XChoice.RANDOM_ELEMENT)
+    # master key, alice's and bob's ephemerals, then the random element
+    draws = rngs[1].draws
+    assert [args for args, _ in draws] == [(1, q)] * 4
+    element = (world.params.g ** draws[3][1]).hex()
+    assert f"adversary replaced bob's response with a random element {element}" in kci[0].events
+    assert [r.to_json() for r in kci] == [r.to_json() for r in exact_kci]
+
+
+def test_an_exact_random_exchange_runs_no_randrange_and_no_power(monkeypatch):
+    """On an exact random.Random an honest exchange draws its ephemerals
+    through getrandbits and builds its outgoing elements from exponents:
+    neither random.Random.randrange nor group._Elem.__pow__ is called."""
+    world = make_world()
+
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        return refused
+
+    monkeypatch.setattr(random.Random, "randrange", refuse("randrange"))
+    monkeypatch.setattr(group._Elem, "__pow__", refuse("__pow__"))
+    h_init, h_resp = run_honest_exchange(world, "alice", "bob")
+    assert world.session(h_init).key == world.session(h_resp).key
+
+
+def test_a_scalar_that_is_no_int_is_refused():
+    """An rng whose randrange returns no int is refused before the session
+    opens, with the error the outgoing element's `**` used to raise."""
+
+    class FloatRandom(random.Random):
+        def randrange(self, *args):
+            return float(super().randrange(*args))
+
+    keys = make_world().private_reveal("alice")
+    with pytest.raises(TypeError, match="exponent must be an int, not float"):
+        start_session(keys, "bob", Role.INITIATOR, Variant.HARDENED, FloatRandom(0))

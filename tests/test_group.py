@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -258,3 +259,19 @@ def test_pairing_is_associative_with_mul(x, y, z):
     params = GroupParams(101)
     a, b, c = params.g**x, params.g**y, params.g**z
     assert pair(a * b, c) == pair(a, c) * pair(b, c)
+
+
+@pytest.mark.parametrize("q", [5, 7, 13, 101, 1_000_003, 2**20 + 2, 2**61 - 1, 2**16])
+def test_random_scalar_replays_randrange_on_an_exact_random(q):
+    """On an exact random.Random, random_scalar makes the getrandbits
+    calls of randrange(1, q) itself: the same draws, and the generator
+    left in the same state. At q = 2**20 + 2 about half of the 21-bit
+    draws are rejected; 2**61 - 1 is a 61-bit prime; at 2**16, q - 1 is
+    a bit shorter than q. Only q is read, so an order GroupParams would
+    refuse can stand in a namespace."""
+    params = types.SimpleNamespace(q=q)
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        drawn = [random_scalar(ours, params) for _ in range(8)]
+        assert drawn == [theirs.randrange(1, q) for _ in range(8)]
+        assert ours.getstate() == theirs.getstate()
