@@ -62,7 +62,6 @@ from .protocol import (
     Role,
     Session,
     SessionId,
-    Status,
     Variant,
     complete_session,
     session_id,
@@ -92,7 +91,6 @@ __all__ = [
     "Role",
     "Session",
     "SessionId",
-    "Status",
     "Variant",
     "World",
     "XChoice",

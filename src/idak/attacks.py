@@ -24,7 +24,6 @@ from .protocol import Role, Variant, complete_session, start_session
 
 _RECOMPUTED = "recomputed_key_digest:"
 _CANDIDATE = "candidate_key_digest:"
-_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -66,19 +65,13 @@ class AttackReport:
 
 
 def _party_record(world: World, handle: int) -> PartyRecord:
-    """A party's record, read from the state of its session in the world.
-    The key is read once, and the record is filled directly: the frozen
-    dataclass's __init__ would set each field through object.__setattr__."""
+    """A party's record, read from the state of its session in the world;
+    the key is read once."""
     session = world.session(handle)
     key = session.key
-    record = _new(PartyRecord)
-    vars(record).update(
-        identity=session.owner,
-        believed_peer=session.peer,
-        accepted=session.r_in is not None,
-        key_digest=key_digest(key) if key else None,
+    return PartyRecord(
+        session.owner, session.peer, session.r_in is not None, key_digest(key) if key else None
     )
-    return record
 
 
 def _transcript_key(

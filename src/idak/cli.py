@@ -7,14 +7,14 @@ Exit status is 0 whenever the run completes; whether an attack succeeded
 is data in the JSON, not an exit code.
 
 Documents are rendered exactly as `json.dumps(doc, indent=2)` would render
-them, byte for byte, by `_render`. With `indent` set, json on Python 3.11
-does not use its C encoder: it walks the document through a chain of
-Python generators. `_render` walks the containers with one recursive
-writer that appends to a single list of parts. A leaf of an exact JSON
-type (str, bool, None, int, float) is written from its type by one table
-lookup, through json's C escaper or `int.__repr__`, with no call of the
-writer; any other value goes through json's isinstance tests in json's
-order, so a subclass is written as json writes it. The 80 rows of the
+them, byte for byte, by `_render`, for the exact JSON types the commands
+write. With `indent` set, json on Python 3.11 does not use its C encoder:
+it walks the document through a chain of Python generators. `_render`
+walks the dicts and lists with one recursive writer that appends to a
+single list of parts. A leaf (str, bool, None, int, float) is written
+from its exact type by one table lookup, through json's C escaper or
+`int.__repr__`, with no call of the writer; any other type, a subclass
+or a tuple included, is refused with TypeError. The 80 rows of the
 freshness truth table, most of its document, skip the walk: each row is
 its plan row's head, built once per indent on the first render, and the
 text of its verdict, one of the six that `is_fresh` returns.
@@ -284,9 +284,6 @@ _LEAVES = {
     int: int.__repr__,
     float: _float,
 }
-# the types json tests with isinstance, in its order: a value of any other
-# type is written as the first of these it is an instance of
-_JSON_TYPES = (str, int, float, list, tuple, dict)
 
 
 class _TruthTableRows(tuple):
@@ -314,9 +311,11 @@ def _row_texts(indent: str) -> tuple[tuple[str, ...], dict]:
 
 
 def _render(value: object, indent: str) -> str:
-    """`json.dumps(value, indent=2)` for a value nested `indent` deep: the
-    same bytes, the same NaN and Infinity spellings, and the same TypeError
-    for a type json cannot encode. Object keys must be str."""
+    """`json.dumps(value, indent=2)` for a value nested `indent` deep, built
+    of the exact JSON types the commands write (dict with str keys, list,
+    str, bool, None, int and float): the same bytes, with the same NaN and
+    Infinity spellings. Any other type, a subclass or a tuple included,
+    raises TypeError."""
     parts: list[str] = []
     _write(value, indent, parts, parts.append)
     return "".join(parts)
@@ -324,24 +323,19 @@ def _render(value: object, indent: str) -> str:
 
 def _write(value: object, indent: str, parts: list[str], add) -> None:
     """Append `value`'s text, nested `indent` deep, to `parts`, whose
-    append is `add`. A leaf or container of an exact JSON type is written
-    from its type alone; any other value as the first of json's types it
-    is an instance of. Each item separator is appended after its item,
-    and a container's closing line replaces the last one."""
+    append is `add`. Each item separator is appended after its item, and
+    a container's closing line replaces the last one."""
     kind = type(value)
     leaf = _LEAVES.get(kind)
-    if leaf is None and kind is not dict and kind is not list:
-        if kind is _TruthTableRows:
-            heads, tails = _row_texts(indent)
-            rows = [head + tails[v.violated_clause] for head, v in zip(heads, value)]
-            add("[\n" + ",\n".join(rows) + "\n" + indent + "]")
-            return
-        kind = next((base for base in _JSON_TYPES if isinstance(value, base)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        leaf = _LEAVES.get(kind)
     if leaf is not None:
         add(leaf(value))
+        return
+    if kind is not dict and kind is not list:
+        if kind is not _TruthTableRows:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        heads, tails = _row_texts(indent)
+        rows = [head + tails[v.violated_clause] for head, v in zip(heads, value)]
+        add("[\n" + ",\n".join(rows) + "\n" + indent + "]")
         return
     if not value:
         add("{}" if kind is dict else "[]")

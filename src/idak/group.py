@@ -12,7 +12,8 @@ orders that passed its full check and skips Miller-Rabin for them after.
 Elements are slotted frozen dataclasses. Group operations reduce their
 exponent once and build the result without rerunning the public
 constructor's checks. `random_scalar` makes randrange's own getrandbits
-draws on an exact `random.Random` and calls any other rng's randrange.
+draws on an exact `random.Random` and calls any other rng's randrange,
+whose answer it checks.
 """
 
 from __future__ import annotations
@@ -188,9 +189,13 @@ def pair(a: GElem, b: GElem) -> GTElem:
 
 def random_scalar(rng: random.Random, params: GroupParams) -> int:
     """Uniform nonzero scalar in [1, q): randrange(1, q)'s own getrandbits
-    draws on an exact random.Random, any other rng's randrange(1, q)."""
+    draws on an exact random.Random, any other rng's randrange(1, q),
+    refused unless it is an int (TypeError) in [1, q) (ParameterError)."""
     if type(rng) is not random.Random:
-        return _require_int(rng.randrange(1, params.q))
+        scalar = _require_int(rng.randrange(1, params.q))
+        if not 0 < scalar < params.q:
+            raise ParameterError(f"randrange(1, {params.q}) returned {scalar}")
+        return scalar
     n = params.q - 1
     k = n.bit_length()
     r = rng.getrandbits(k)

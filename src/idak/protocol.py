@@ -5,10 +5,9 @@ Each party sends one element R = public_key^x for a fresh scalar x.
 group is the one those keys live in. On receipt of a valid element from
 the peer the owner accepts: the protocol has no key confirmation, and
 `complete_session` only checks the element and records it as `r_in`,
-the one stored fact that marks acceptance (`Session.status` is read
-from it). The session key is derived on its first read through
-`Session.key` and kept: the owner derives a shared pairing value and
-feeds it through the variant's key derivation:
+the one stored fact that marks acceptance. The session key is derived
+on its first read through `Session.key` and kept: the owner derives a
+shared pairing value and feeds it through the variant's key derivation:
 
     original   s-values hash the ordered message pair only; the session
                key is a digest of the shared value alone.
@@ -67,11 +66,6 @@ class Role(Enum):
     RESPONDER = "responder"
 
 
-class Status(Enum):
-    ACTIVE = "active"
-    ACCEPTED = "accepted"
-
-
 @dataclass(slots=True)
 class Session:
     """Mutable per-session state owned by exactly one party. The session
@@ -91,11 +85,6 @@ class Session:
     _keys: IdentityKey = field(repr=False, compare=False)
     r_in: GElem | None = None
     _key: bytes | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def status(self) -> Status:
-        """ACCEPTED once an incoming element was recorded, ACTIVE before."""
-        return Status.ACTIVE if self.r_in is None else Status.ACCEPTED
 
     @property
     def key(self) -> bytes | None:

@@ -15,7 +15,6 @@ from idak import (
     QueryKind,
     QueryRecord,
     Role,
-    Status,
     Variant,
     World,
     complete_session,
@@ -51,7 +50,7 @@ def test_faithful_delivery_agrees():
     for seed in range(100):
         world = make_world(seed)
         h_init, h_resp = run_honest_exchange(world, "alice", "bob")
-        assert world.session(h_init).status is Status.ACCEPTED
+        assert world.session(h_init).r_in is not None
         assert world.matching_session(h_init) == h_resp
         assert world.key_reveal(h_init) == world.key_reveal(h_resp)
 
@@ -70,7 +69,7 @@ def test_substituted_delivery_breaks_agreement():
     h_resp, r_resp = world.activate("bob", "alice", Role.RESPONDER)
     world.deliver(h_resp, r_init)
     world.deliver(h_init, r_resp * world.params.g)  # adversary tampers
-    assert world.session(h_init).status is Status.ACCEPTED
+    assert world.session(h_init).r_in is not None
     assert world.key_reveal(h_init) != world.key_reveal(h_resp)
     assert world.matching_session(h_init) is None
 
@@ -143,7 +142,7 @@ def test_adv_extract_enables_injection():
     t = 12345
     h_resp, r_resp = world.activate("bob", "eve", Role.RESPONDER)
     world.deliver(h_resp, eve.public_key**t)
-    assert world.session(h_resp).status is Status.ACCEPTED
+    assert world.session(h_resp).r_in is not None
     assert world.session(h_resp).peer == "eve"
 
 
@@ -462,7 +461,7 @@ def test_matching_tiebreak_on_replayed_transcripts(order):
         else:
             world.deliver(handles[name], r_init)
         for handle in handles.values():
-            if world.session(handle).status is Status.ACCEPTED:
+            if world.session(handle).r_in is not None:
                 star = scan_matching_session(world, handle, second)
                 assert world.matching_session(handle) == star
     assert world.matching_session(h_init) == first
@@ -606,7 +605,7 @@ def role_swap_adversary(variant, seed):
     world.deliver(h_alice, r_bob)
     world.deliver(h_bob, r_alice)
     for handle in (h_alice, h_bob):
-        assert world.session(handle).status is Status.ACCEPTED
+        assert world.session(handle).r_in is not None
         assert world.matching_session(handle) is None
     revealed = world.key_reveal(h_bob)
     answer = world.test(h_alice)
@@ -705,7 +704,7 @@ def test_fuzzed_query_sequences(q, seed, variant, queries):
             pass
     world.experiment_report("fuzz")
     for handle in range(1, len(outgoing) + 1):
-        if world.session(handle).status is Status.ACCEPTED:
+        if world.session(handle).r_in is not None:
             star = scan_matching_session(world, handle, len(outgoing))
             assert world.matching_session(handle) == star
             fresh, clause = reference_freshness(star is not None, log_atoms(world, handle, star))
@@ -722,7 +721,7 @@ def scan_matching_session(world, handle, count):
         session = world.session(other)
         if (
             other != handle
-            and session.status is Status.ACCEPTED
+            and session.r_in is not None
             and (session.owner, session.peer) == (own.peer, own.owner)
             and session.role is not own.role
             and (session.r_out, session.r_in) == (own.r_in, own.r_out)
@@ -1157,3 +1156,22 @@ def test_a_scalar_that_is_no_int_is_refused():
     keys = make_world().private_reveal("alice")
     with pytest.raises(TypeError, match="exponent must be an int, not float"):
         start_session(keys, "bob", Role.INITIATOR, Variant.HARDENED, FloatRandom(0))
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["zero", "q"])
+def test_a_scalar_outside_1_to_q_is_refused(offset):
+    """An rng whose randrange(1, q) returns 0 or q is refused with
+    ParameterError before a session exists: x = 0 would send the identity
+    element, and q is the same scalar."""
+
+    class OutOfRange(random.Random):
+        def randrange(self, start, stop):
+            return offset * stop
+
+    world = make_world()
+    world.rng = OutOfRange(0)
+    with pytest.raises(ParameterError, match=f"randrange\\(1, {world.params.q}\\) returned"):
+        world.activate("alice", "bob", Role.INITIATOR)
+    assert world._sessions == {}
+    world.rng = random.Random(0)
+    assert world.activate("alice", "bob", Role.INITIATOR)[0] == 1

@@ -14,7 +14,6 @@ from idak import (
     KGC,
     GroupParams,
     Role,
-    Status,
     Variant,
     complete_session,
     dlog,
@@ -90,7 +89,7 @@ def test_start_session_shape():
     kgc = KGC(rng, GroupParams(DEFAULT_Q))
     alice = kgc.extract("alice")
     session, r_out = start_session(alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
-    assert session.status is Status.ACTIVE
+    assert session.r_in is None
     assert session.key is None
     assert not r_out.is_identity
     assert dlog(r_out) == dlog(alice.public_key) * session.x % DEFAULT_Q
@@ -310,9 +309,9 @@ def test_complete_rejects_identity_element():
     session, _ = start_session(alice, "bob", Role.INITIATOR, Variant.HARDENED, rng)
     with pytest.raises(InvalidElementError):
         complete_session(session, kgc.params.g**0)
-    assert session.status is Status.ACTIVE  # rejected input leaves it usable
+    assert session.r_in is None  # rejected input leaves it usable
     complete_session(session, kgc.params.g**3)
-    assert session.status is Status.ACCEPTED
+    assert session.r_in == kgc.params.g**3
 
 
 def test_complete_rejects_foreign_group():
@@ -324,7 +323,7 @@ def test_complete_rejects_foreign_group():
         complete_session(session, GroupParams(101).g**3)
     with pytest.raises(InvalidElementError):
         complete_session(session, kgc.params.gt**3)
-    assert session.status is Status.ACTIVE
+    assert session.r_in is None
 
 
 def test_neighbouring_orders_do_not_mix():
@@ -342,7 +341,7 @@ def test_neighbouring_orders_do_not_mix():
     session, _ = start_session(alice, "bob", Role.INITIATOR, Variant.ORIGINAL, rng)
     with pytest.raises(GroupMismatchError):
         complete_session(session, p103.g**3)
-    assert session.status is Status.ACTIVE
+    assert session.r_in is None
 
 
 def test_complete_twice_fails():
