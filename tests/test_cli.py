@@ -209,21 +209,35 @@ def _refuse(name):
     return refused
 
 
-def test_frozen_argvs_are_read_from_the_option_table(monkeypatch, capsys):
-    """Every frozen argv, a command and exact `--option value` pairs, prints
-    its frozen bytes from its command's table and `_render` with every
-    refusal installed at once: building any argparse parser or running a
-    pass of one, `build_parser` with no parser cached, and json's
-    pure-Python encoder, the generator chain json.dumps falls back to
-    whenever indent is set."""
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", _refuse("argparse"))
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", _refuse("argparse"))
-    monkeypatch.setattr(cli, "build_parser", _refuse("build_parser"))
-    monkeypatch.setattr(json.encoder, "_make_iterencode", _refuse("json's pure-Python encoder"))
-    cli._parser.cache_clear()
+def _prints_every_frozen_digest(capsys):
     for key, digest in FROZEN_DIGESTS.items():
         assert main(frozen_argv(key)) == 0
         assert stdout_digest(capsys) == digest
+
+
+def test_frozen_argvs_are_read_from_the_option_table(monkeypatch, capsys):
+    """Every frozen argv, a command and exact `--option value` pairs,
+    prints its frozen bytes from its command's table, with `build_parser`
+    refused and no parser cached."""
+    monkeypatch.setattr(cli, "build_parser", _refuse("build_parser"))
+    cli._parser.cache_clear()
+    _prints_every_frozen_digest(capsys)
+
+
+def test_command_argvs_skip_the_top_level_pass(monkeypatch, capsys):
+    """Every frozen argv prints its frozen bytes with no argparse parser
+    built and no pass of one run, even with the whole parser cached."""
+    cli._parser()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", _refuse("argparse"))
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", _refuse("argparse"))
+    _prints_every_frozen_digest(capsys)
+
+
+def test_cli_never_runs_the_pure_python_encoder(monkeypatch, capsys):
+    """Every frozen argv prints its frozen bytes without json's generator
+    chain, the encoder json.dumps falls back to whenever indent is set."""
+    monkeypatch.setattr(json.encoder, "_make_iterencode", _refuse("json's pure-Python encoder"))
+    _prints_every_frozen_digest(capsys)
 
 
 def test_parser_is_built_once(monkeypatch, capsys):
