@@ -17,10 +17,11 @@ each side, the side that goes first alternating from round to round.
 Each command's line gives the median over rounds of the mean time per
 call on each side, both variants pooled; the median over rounds of the
 ratio change / base, each round's two batches run back to back, so a
-slow spell of the host weighs on both; the base side's interquartile
-spread over rounds, as a percent of its median (`-` with one round), so
-a ratio nearer 1 than that spread is inside the noise; and the share of
-rounds the change won. The cli-attacks line does the same for the sum
+slow spell of the host weighs on both; the interquartile range of those
+per-round ratios (`-` with one round), the spread of the ratio itself,
+without the host's drift between rounds that each round's pair cancels,
+so a ratio nearer 1 than that range is inside the noise; and the share
+of rounds the change won. The cli-attacks line does the same for the sum
 over the six commands of the benchmark's cli-attacks rotation. Three
 World-level units follow, timed the same way in the same rounds, with
 UNIT_CALLS x `--calls` units per batch and the cyclic collector paused:
@@ -244,7 +245,7 @@ def compare(sides: dict, ecksims: dict, args: argparse.Namespace) -> int:
 
     print(f"{args.rounds} rounds x {args.calls} calls per command, variant and side; "
           f"python {sys.version.split()[0]}; base {args.ref}")
-    print(f"{'command':<20}{'base us':>10}{'change us':>11}{'ratio':>8}{'base iqr':>10}{'won':>6}")
+    print(f"{'command':<20}{'base us':>10}{'change us':>11}{'ratio':>8}{'ratio iqr':>10}{'won':>6}")
     totals = {side: [0.0] * args.rounds for side in sides}
     for command in COMMANDS:
         if command != "eck-batch":
@@ -260,12 +261,11 @@ def compare(sides: dict, ecksims: dict, args: argparse.Namespace) -> int:
 def report(name: str, base: list[float], change: list[float]) -> None:
     ratios = [c / b for b, c in zip(base, change)]
     won = sum(ratio < 1 for ratio in ratios) / len(ratios)
-    median = statistics.median(base)
     spread = "-"
-    if len(base) > 1:  # quantiles needs two data points before Python 3.13
-        low, _, high = statistics.quantiles(base)
-        spread = f"{(high - low) / median:.1%}"
-    print(f"{name:<20}{median:>10.1f}{statistics.median(change):>11.1f}"
+    if len(ratios) > 1:  # quantiles needs two data points before Python 3.13
+        low, _, high = statistics.quantiles(ratios)
+        spread = f"{high - low:.3f}"
+    print(f"{name:<20}{statistics.median(base):>10.1f}{statistics.median(change):>11.1f}"
           f"{statistics.median(ratios):>8.3f}{spread:>10}{won:>6.0%}")
 
 

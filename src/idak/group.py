@@ -10,8 +10,8 @@ deliberately absent, which is what makes the attack harness checkable.
 Each group order is validated once per process: `GroupParams` keeps the
 orders that passed its full check and skips Miller-Rabin for them after.
 Elements are slotted frozen dataclasses. Group operations reduce their
-exponent once and build the result without rerunning the public
-constructor's checks. `random_scalar` makes randrange's own getrandbits
+exponent once and build the result through `_Elem._reduced`, without
+rerunning the public constructor's checks. `random_scalar` makes randrange's own getrandbits
 draws on an exact `random.Random` and calls any other rng's randrange,
 whose answer it checks.
 """
@@ -98,10 +98,9 @@ def same_params(a: GroupParams, b: GroupParams) -> bool:
     return a is b or a == b
 
 
-def _require_int(exp: object) -> int:
+def _require_int(exp: object) -> None:
     if not isinstance(exp, int):
         raise TypeError(f"exponent must be an int, not {type(exp).__name__}")
-    return exp
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,10 +137,7 @@ class _Elem:
         if type(scalar) is not int:
             _require_int(scalar)
         params = self.params
-        elem = _new(self.__class__)
-        _set_params(elem, params)
-        _set_exp(elem, self.exp * scalar % params.q)
-        return elem
+        return self._reduced(params, self.exp * scalar % params.q)
 
     @property
     def is_identity(self) -> bool:
@@ -154,8 +150,8 @@ class _Elem:
         return self.to_bytes().hex()
 
 
-# slot setters, bound once: _Elem._reduced, `**` and `pair`, on every group
-# operation's path, and protocol's key derivation build through them
+# slot setters, bound once, read only by _Elem._reduced: every element built
+# without the public constructor's checks is built there
 _new = object.__new__
 _set_params = _Elem.params.__set__
 _set_exp = _Elem.exp.__set__
@@ -181,18 +177,19 @@ def pair(a: GElem, b: GElem) -> GTElem:
     params = a.params
     if b.params is not params and not same_params(params, b.params):
         raise GroupMismatchError("pairing operands from different group instantiations")
-    elem = _new(GTElem)
-    _set_params(elem, params)
-    _set_exp(elem, a.exp * b.exp % params.q)
-    return elem
+    return GTElem._reduced(params, a.exp * b.exp % params.q)
 
 
 def random_scalar(rng: random.Random, params: GroupParams) -> int:
     """Uniform nonzero scalar in [1, q): randrange(1, q)'s own getrandbits
     draws on an exact random.Random, any other rng's randrange(1, q),
-    refused unless it is an int (TypeError) in [1, q) (ParameterError)."""
+    refused unless its type is exactly int (TypeError), as errors.require
+    reads int, and it lies in [1, q) (ParameterError)."""
     if type(rng) is not random.Random:
-        scalar = _require_int(rng.randrange(1, params.q))
+        scalar = rng.randrange(1, params.q)
+        # a bool or an int subclass would be kept as a session's x or the master key
+        if type(scalar) is not int:
+            raise TypeError(f"exponent must be an int, not {type(scalar).__name__}")
         if not 0 < scalar < params.q:
             raise ParameterError(f"randrange(1, {params.q}) returned {scalar}")
         return scalar

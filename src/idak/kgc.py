@@ -37,9 +37,6 @@ class IdentityKey:
             raise InvalidElementError("identity element rejected as key material")
 
 
-_new = object.__new__
-
-
 class KGC:
     """Holds the master secret and answers extraction requests.
 
@@ -81,7 +78,7 @@ class KGC:
             require(identity, str, "identity")
         params = self.params
         exponent = _identity_exponent(identity, params.q)
-        key = _new(IdentityKey)
+        key = object.__new__(IdentityKey)
         vars(key).update(
             identity=identity,
             public_key=GElem._reduced(params, exponent),

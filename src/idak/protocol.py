@@ -26,13 +26,14 @@ it appears in the arithmetic.
 
 Derivation is one pass over the transcript: `oracles.session_hashes`
 encodes each element once, takes the framed identities from its memo and
-returns both s-values with the KDF input. The pairing takes the private
-key as it is and one element computed from exponents (the peer's memoised
-H1G exponent, r_in's and x + s_own): pairing private_key with
+returns both s-values with the KDF input, which `oracles.derive_key`
+completes with the shared value. The pairing takes the private key as it
+is and one element computed from exponents (the peer's memoised H1G
+exponent, r_in's and x + s_own): pairing private_key with
 (peer_base^s * r_in)^(x + s_own) is, by bilinearity, the value above. A
 read costs three sha256 calls, one pairing and one new source element,
-built through group's slot setters, as `start_session` builds R; the
-hot path tests `Role` and `Variant` members held in module globals.
+built by `GElem._reduced`, as `start_session` builds R; the hot path
+tests `Role` and `Variant` members held in module globals.
 It draws nothing from the RNG and cannot fail once `complete_session`
 has accepted, because every input was checked where it entered:
 `IdentityKey` checks the identity and both key points (`KGC.extract`
@@ -49,11 +50,10 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import oracles
 from .errors import GroupMismatchError, InvalidElementError, SessionStateError, require
-from .group import GElem, _new, _set_exp, _set_params, pair, random_scalar, same_params
+from .group import GElem, pair, random_scalar, same_params
 from .kgc import IdentityKey
-from .oracles import _identity_exponent, key_digest, require_identity, session_hashes
+from .oracles import _identity_exponent, derive_key, key_digest, require_identity, session_hashes
 
 
 class Variant(Enum):
@@ -129,9 +129,7 @@ def start_session(
         require(variant, Variant, "variant")
     params = keys.public_key.params
     x = random_scalar(rng, params)
-    r_out = _new(GElem)  # public_key**x
-    _set_params(r_out, params)
-    _set_exp(r_out, keys.public_key.exp * x % params.q)
+    r_out = GElem._reduced(params, keys.public_key.exp * x % params.q)  # public_key**x
     session = Session(keys.identity, peer, role, variant, x, r_out, keys)
     return session, r_out
 
@@ -175,12 +173,8 @@ def _derive_key(session: Session) -> bytes:
     params = r_out.params
     q = params.q
     peer_term = (_identity_exponent(session.peer, q) * s_peer + r_in.exp) % q
-    # GElem._reduced and oracles.derive_key written out, one frame each
-    # less per read; _digest is looked up on oracles at call time
-    operand = _new(GElem)
-    _set_params(operand, params)
-    _set_exp(operand, peer_term * (session.x + s_own) % q)
-    return oracles._digest(kdf_input + pair(session._keys.private_key, operand).to_bytes())
+    operand = GElem._reduced(params, peer_term * (session.x + s_own) % q)
+    return derive_key(kdf_input, pair(session._keys.private_key, operand))
 
 
 def session_id(session: Session) -> SessionId:

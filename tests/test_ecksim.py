@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idak import (
+    KGC,
     FreshnessVerdict,
+    GElem,
     GroupParams,
+    GTElem,
     Outcome,
     QueryKind,
     QueryRecord,
@@ -37,6 +40,17 @@ from idak.errors import (
 )
 
 from conftest import atoms_by_point, reference_freshness, reference_identity_exponent
+
+
+def count_builds(monkeypatch):
+    """A list that records the class of every element built through
+    group._Elem._reduced from now on."""
+    builds = []
+    real = group._Elem._reduced.__func__
+    monkeypatch.setattr(
+        group._Elem, "_reduced", classmethod(lambda cls, *args: builds.append(cls) or real(cls, *args))
+    )
+    return builds
 
 
 def make_world(seed=0, variant=Variant.HARDENED, q=1_000_003):
@@ -991,10 +1005,14 @@ def test_honest_exchange_hashes_no_identity(monkeypatch, variant):
 def test_each_key_read_hashes_three_times_and_pairs_once(monkeypatch, variant, first):
     """With the identity memo warm, every single key read runs sha256
     three times (two s-values, one KDF), encodes three elements (the two
-    transcript elements and the shared value), pairs once and hashes no
-    identity: the initiator's or the responder's key read first, a
-    tampered session that has no match, and one attacks._transcript_key
-    call alike. A second read runs nothing."""
+    transcript elements and the shared value), pairs once, finishes the
+    key through one oracles.derive_key call and hashes no identity: the
+    initiator's or the responder's key read first, a tampered session
+    that has no match, and one attacks._transcript_key call alike. A
+    session's read builds its operand and the shared value through
+    group._Elem._reduced; _transcript_key builds five source elements
+    there too (H(alice), two powers, two products). A second read runs
+    nothing."""
     world = ecksim.two_party_world(0, variant, master_key_reveal=True)
     h_init, h_resp = run_honest_exchange(world, "alice", "bob")
     h_tampered, _ = world.activate("alice", "bob", Role.INITIATOR)
@@ -1003,7 +1021,8 @@ def test_each_key_read_hashes_three_times_and_pairs_once(monkeypatch, variant, f
     init = world.session(h_init)
     d_bob, r_resp_alpha = oracles.hash_to_group(world.params, "bob") ** alpha, init.r_in**alpha
     real_digest, real_pair, real_to_bytes = oracles._digest, protocol.pair, group._Elem.to_bytes
-    digests, pairings, encodings = [], [], []
+    real_derive_key = oracles.derive_key
+    digests, pairings, encodings, derivations = [], [], [], []
     monkeypatch.setattr(oracles, "_digest", lambda data: digests.append(data) or real_digest(data))
 
     def counted_pair(a, b):
@@ -1014,26 +1033,32 @@ def test_each_key_read_hashes_three_times_and_pairs_once(monkeypatch, variant, f
         encodings.append(1)
         return real_to_bytes(elem)
 
+    def counted_derive_key(kdf_input, shared):
+        derivations.append(1)
+        return real_derive_key(kdf_input, shared)
+
     def transcript_key():
         return attacks._transcript_key(world, init.r_out, init.r_in, d_bob, r_resp_alpha)
 
     def costs(read):
-        digests.clear()
-        pairings.clear()
-        encodings.clear()
+        for counts in (digests, pairings, encodings, derivations, builds):
+            counts.clear()
         read()
         assert not any(data.startswith(b"H1G") for data in digests)
-        return len(digests), len(pairings), len(encodings)
+        return len(digests), len(pairings), len(encodings), len(derivations), builds[:]
 
     monkeypatch.setattr(protocol, "pair", counted_pair)
     monkeypatch.setattr(attacks, "pair", counted_pair)
+    monkeypatch.setattr(protocol, "derive_key", counted_derive_key)
+    monkeypatch.setattr(attacks, "derive_key", counted_derive_key)
     monkeypatch.setattr(group._Elem, "to_bytes", counted_to_bytes)
+    builds = count_builds(monkeypatch)
     order = [h_init, h_resp] if first is Role.INITIATOR else [h_resp, h_init]
     for handle in order + [h_tampered]:
-        assert costs(lambda: world.session(handle).key) == (3, 1, 3)
-        assert costs(lambda: world.session(handle).key) == (0, 0, 0)
+        assert costs(lambda: world.session(handle).key) == (3, 1, 3, 1, [GElem, GTElem])
+        assert costs(lambda: world.session(handle).key) == (0, 0, 0, 0, [])
     assert world.session(h_tampered).key != world.session(h_init).key
-    assert costs(transcript_key) == (3, 1, 3)
+    assert costs(transcript_key) == (3, 1, 3, 1, [GElem] * 5 + [GTElem])
     assert transcript_key() == init.key
 
 
@@ -1130,7 +1155,9 @@ def test_a_randrange_subclass_sees_every_scalar_draw(monkeypatch, seed):
 def test_an_exact_random_exchange_runs_no_randrange_and_no_power(monkeypatch):
     """On an exact random.Random an honest exchange draws its ephemerals
     through getrandbits and builds its outgoing elements from exponents:
-    neither random.Random.randrange nor group._Elem.__pow__ is called."""
+    neither random.Random.randrange nor group._Elem.__pow__ is called, and
+    the two outgoing elements are the only builds, both through
+    group._Elem._reduced."""
     world = make_world()
 
     def refuse(name):
@@ -1141,21 +1168,34 @@ def test_an_exact_random_exchange_runs_no_randrange_and_no_power(monkeypatch):
 
     monkeypatch.setattr(random.Random, "randrange", refuse("randrange"))
     monkeypatch.setattr(group._Elem, "__pow__", refuse("__pow__"))
+    builds = count_builds(monkeypatch)
     h_init, h_resp = run_honest_exchange(world, "alice", "bob")
+    assert builds == [GElem, GElem]
     assert world.session(h_init).key == world.session(h_resp).key
 
 
-def test_a_scalar_that_is_no_int_is_refused():
-    """An rng whose randrange returns no int is refused before the session
-    opens, with the error the outgoing element's `**` used to raise."""
+class _IntSubclass(int):
+    pass
 
-    class FloatRandom(random.Random):
+
+@pytest.mark.parametrize("kind", [float, bool, _IntSubclass], ids=["float", "bool", "int_subclass"])
+def test_a_scalar_that_is_no_int_is_refused(kind):
+    """An rng whose randrange returns anything but an exact int, a bool or
+    an int subclass included, is refused before a session opens or a KGC
+    keeps a master key, with the error the outgoing element's `**` used to
+    raise: otherwise True would be stored as a session's x or the master key."""
+
+    class Converting(random.Random):
         def randrange(self, *args):
-            return float(super().randrange(*args))
+            return kind(super().randrange(*args))
 
-    keys = make_world().private_reveal("alice")
-    with pytest.raises(TypeError, match="exponent must be an int, not float"):
-        start_session(keys, "bob", Role.INITIATOR, Variant.HARDENED, FloatRandom(0))
+    world = make_world()
+    keys = world.private_reveal("alice")
+    message = f"exponent must be an int, not {kind.__name__}"
+    with pytest.raises(TypeError, match=message):
+        start_session(keys, "bob", Role.INITIATOR, Variant.HARDENED, Converting(0))
+    with pytest.raises(TypeError, match=message):
+        KGC(Converting(0), world.params)
 
 
 @pytest.mark.parametrize("offset", [0, 1], ids=["zero", "q"])
